@@ -9,6 +9,12 @@
 // monitor measure prefetch waste. Lines can also be pinned, the
 // mechanism the flash-register thrashing checker uses to spill excess
 // dirty data into L2.
+//
+// A cache allocates nothing per access in the steady state: bank
+// lookups, MSHR entries (with their line-fill request and waiter
+// list), write-allocate fills and writebacks are pooled records that
+// act as their own engine events and completion targets, following
+// the ownership rule of package mem.
 package cache
 
 import (
@@ -28,9 +34,62 @@ type line struct {
 	stamp    uint64 // LRU timestamp
 }
 
+// lookup is one pending tag lookup: the bank-slot event of Access.
+type lookup struct {
+	c  *Cache
+	r  *mem.Request
+	la uint64
+}
+
+// Fire resolves the lookup once its bank slot is granted.
+func (l *lookup) Fire() {
+	c, r, la := l.c, l.r, l.la
+	l.r = nil
+	c.lookups.Put(l)
+	c.resolve(r, la)
+}
+
+// mshrEntry tracks one outstanding line miss. It issues the line fill
+// (embedded, so a miss allocates nothing) and is that fill's
+// completion target; waiters keeps its storage across reuses.
 type mshrEntry struct {
+	c       *Cache
+	fill    mem.Request
 	waiters []*mem.Request
 }
+
+// Completed is the line fill returning from the next level.
+func (e *mshrEntry) Completed(*mem.Request) { e.c.fill(e) }
+
+// writeAlloc is a write miss in a write-back cache: it fetches the
+// line, dirties it, then completes the store it holds.
+type writeAlloc struct {
+	c    *Cache
+	r    *mem.Request
+	fill mem.Request
+}
+
+// Completed is the allocating fill returning from the next level.
+func (w *writeAlloc) Completed(*mem.Request) {
+	c, r, la := w.c, w.r, w.fill.Addr
+	w.r = nil
+	c.writeAllocs.Put(w)
+	c.install(la, false)
+	if way := findLine(c.set(la), la); way >= 0 {
+		c.set(la)[way].dirty = true
+	}
+	c.eng.Post(c.cfg.WriteLat, r)
+}
+
+// writeback is a dirty-line eviction sent to the next level; nobody
+// waits for it, so its completion only recycles the record.
+type writeback struct {
+	c   *Cache
+	req mem.Request
+}
+
+// Completed recycles the writeback.
+func (w *writeback) Completed(*mem.Request) { w.c.writebacks.Put(w) }
 
 // EvictInfo describes an evicted line for the access monitor.
 type EvictInfo struct {
@@ -52,8 +111,18 @@ type Cache struct {
 	sets  [][]line // [bank*cfg.Sets + set][way]
 	clock uint64
 
-	mshr     map[uint64]*mshrEntry
-	overflow []*mem.Request // misses waiting for a free MSHR
+	mshr map[uint64]*mshrEntry
+	// overflow queues misses waiting for a free MSHR, oldest at
+	// overflow[ovHead]. Popped slots are cleared and the storage is
+	// reused, so a miss burst neither pins completed requests nor
+	// reallocates the queue.
+	overflow []*mem.Request
+	ovHead   int
+
+	lookups     sim.FreeList[lookup]
+	mshrs       sim.FreeList[mshrEntry]
+	writeAllocs sim.FreeList[writeAlloc]
+	writebacks  sim.FreeList[writeback]
 
 	// OnEvict, if set, observes every eviction (the ZnG access monitor).
 	OnEvict func(EvictInfo)
@@ -86,8 +155,11 @@ func New(eng *sim.Engine, cfg config.Cache, next mem.Memory, name string) *Cache
 		sets: make([][]line, nb*cfg.Sets),
 		mshr: make(map[uint64]*mshrEntry),
 	}
+	// One backing array for every set: a single allocation, and
+	// neighbouring sets stay adjacent in memory.
+	lines := make([]line, len(c.sets)*cfg.Ways)
 	for i := range c.sets {
-		c.sets[i] = make([]line, cfg.Ways)
+		c.sets[i] = lines[i*cfg.Ways : (i+1)*cfg.Ways : (i+1)*cfg.Ways]
 	}
 	c.banks = make([]*sim.Resource, nb)
 	for i := range c.banks {
@@ -122,7 +194,9 @@ func (c *Cache) Access(r *mem.Request) {
 
 	// One cycle of bank occupancy models the pipelined tag lookup; the
 	// outcome is resolved when the bank slot is granted.
-	bank.Acquire(1, func() { c.resolve(r, la) })
+	l := c.lookups.Get()
+	l.c, l.r, l.la = c, r, la
+	bank.Acquire(1, l)
 }
 
 func (c *Cache) resolve(r *mem.Request, la uint64) {
@@ -140,7 +214,7 @@ func (c *Cache) resolve(r *mem.Request, la uint64) {
 		ln.accessed = true
 		ln.stamp = c.clock
 		c.Hits.Inc()
-		c.eng.Schedule(c.cfg.ReadLat, r.Complete)
+		c.eng.Post(c.cfg.ReadLat, r)
 		return
 	}
 
@@ -155,7 +229,7 @@ func (c *Cache) resolve(r *mem.Request, la uint64) {
 		return
 	}
 	if len(c.mshr) >= c.cfg.MSHRs {
-		c.overflow = append(c.overflow, r)
+		c.pushOverflow(r)
 		return
 	}
 	c.issueMiss(r, la)
@@ -171,7 +245,7 @@ func (c *Cache) resolveWrite(r *mem.Request, la uint64, set []line, way int) {
 			set[way].dirty = true
 			set[way].stamp = c.clock
 			c.WriteHits.Inc()
-			c.eng.Schedule(c.cfg.WriteLat, r.Complete)
+			c.eng.Post(c.cfg.WriteLat, r)
 			return
 		}
 		if way >= 0 {
@@ -189,7 +263,7 @@ func (c *Cache) resolveWrite(r *mem.Request, la uint64, set []line, way int) {
 		c.WriteHits.Inc()
 		if c.cfg.WriteBack {
 			ln.dirty = true
-			c.eng.Schedule(c.cfg.WriteLat, r.Complete)
+			c.eng.Post(c.cfg.WriteLat, r)
 		} else {
 			// Write-through: update the line, forward the store.
 			c.next.Access(r)
@@ -204,52 +278,66 @@ func (c *Cache) resolveWrite(r *mem.Request, la uint64, set []line, way int) {
 		return
 	}
 	// Write-allocate: fetch the line, then dirty it.
-	fill := &mem.Request{
+	w := c.writeAllocs.Get()
+	w.c, w.r = c, r
+	w.fill = mem.Request{
 		Addr: la, Size: c.cfg.LineBytes, PC: r.PC, Warp: r.Warp, SM: r.SM,
-		Done: func() {
-			c.install(la, false)
-			if w := findLine(c.set(la), la); w >= 0 {
-				c.set(la)[w].dirty = true
-			}
-			c.eng.Schedule(c.cfg.WriteLat, r.Complete)
-		},
+		Issuer: w,
 	}
-	c.next.Access(fill)
+	c.next.Access(&w.fill)
 }
 
 func (c *Cache) issueMiss(r *mem.Request, la uint64) {
-	c.mshr[la] = &mshrEntry{waiters: []*mem.Request{r}}
-	fill := &mem.Request{
+	e := c.mshrs.Get()
+	e.c = c
+	e.waiters = append(e.waiters, r)
+	e.fill = mem.Request{
 		Addr: la, Size: c.cfg.LineBytes, PC: r.PC, Warp: r.Warp, SM: r.SM,
 		Prefetch: r.Prefetch,
-		Done:     func() { c.fill(la) },
+		Issuer:   e,
 	}
-	c.next.Access(fill)
+	c.mshr[la] = e
+	c.next.Access(&e.fill)
 }
 
 // fill completes an outstanding miss: installs the line, wakes the
-// waiters, and admits overflow misses into the freed MSHR.
-func (c *Cache) fill(la uint64) {
-	e := c.mshr[la]
+// waiters, recycles the entry, and admits overflow misses into the
+// freed MSHR.
+func (c *Cache) fill(e *mshrEntry) {
+	la := e.fill.Addr
 	delete(c.mshr, la)
 	c.install(la, false)
-	if e != nil {
-		for _, w := range e.waiters {
-			c.eng.Schedule(c.cfg.ReadLat, w.Complete)
-		}
+	for i, w := range e.waiters {
+		c.eng.Post(c.cfg.ReadLat, w)
+		e.waiters[i] = nil
 	}
+	e.waiters = e.waiters[:0]
+	c.mshrs.Put(e)
 	c.drainOverflow()
 }
 
+// pushOverflow queues a miss behind the full MSHR file, sliding the
+// live entries to the front instead of growing when the head has
+// advanced.
+func (c *Cache) pushOverflow(r *mem.Request) {
+	if len(c.overflow) == cap(c.overflow) && c.ovHead > 0 {
+		n := copy(c.overflow, c.overflow[c.ovHead:])
+		clear(c.overflow[n:])
+		c.overflow, c.ovHead = c.overflow[:n], 0
+	}
+	c.overflow = append(c.overflow, r)
+}
+
 func (c *Cache) drainOverflow() {
-	for len(c.overflow) > 0 && len(c.mshr) < c.cfg.MSHRs {
-		r := c.overflow[0]
-		c.overflow = c.overflow[1:]
+	for c.ovHead < len(c.overflow) && len(c.mshr) < c.cfg.MSHRs {
+		r := c.overflow[c.ovHead]
+		c.overflow[c.ovHead] = nil
+		c.ovHead++
 		la := c.lineAddr(r.Addr)
 		if w := findLine(c.set(la), la); w >= 0 {
 			// Filled while queued: now a hit.
 			c.Hits.Inc()
-			c.eng.Schedule(c.cfg.ReadLat, r.Complete)
+			c.eng.Post(c.cfg.ReadLat, r)
 			continue
 		}
 		if e, ok := c.mshr[la]; ok {
@@ -257,6 +345,9 @@ func (c *Cache) drainOverflow() {
 			continue
 		}
 		c.issueMiss(r, la)
+	}
+	if c.ovHead == len(c.overflow) {
+		c.overflow, c.ovHead = c.overflow[:0], 0
 	}
 }
 
@@ -316,8 +407,10 @@ func (c *Cache) evict(ln *line) {
 	}
 	if ln.dirty && c.cfg.WriteBack {
 		c.Writebacks.Inc()
-		wb := &mem.Request{Addr: ln.tag, Size: c.cfg.LineBytes, Write: true}
-		c.next.Access(wb)
+		wb := c.writebacks.Get()
+		wb.c = c
+		wb.req = mem.Request{Addr: ln.tag, Size: c.cfg.LineBytes, Write: true, Issuer: wb}
+		c.next.Access(&wb.req)
 	}
 	if ln.pinned {
 		c.PinnedNow--

@@ -20,6 +20,8 @@ type Device struct {
 	eng   *sim.Engine
 	ports []*sim.Port
 
+	transfers sim.FreeList[transfer]
+
 	Reads, Writes stats.Counter
 	Bytes         stats.Counter
 }
@@ -64,9 +66,26 @@ func (d *Device) Access(r *mem.Request) {
 		d.Reads.Inc()
 	}
 	d.Bytes.Add(uint64(moved))
-	d.ports[ctrl].Send(moved, func() {
-		d.eng.Schedule(lat, r.Complete)
-	})
+	t := d.transfers.Get()
+	t.d, t.r, t.lat = d, r, lat
+	d.ports[ctrl].Send(moved, t)
+}
+
+// transfer is one access crossing its controller's channel. When the
+// burst lands it charges the device latency, posting the request as
+// its own completion event.
+type transfer struct {
+	d   *Device
+	r   *mem.Request
+	lat sim.Tick
+}
+
+// Fire runs when the channel has moved the burst.
+func (t *transfer) Fire() {
+	d, r, lat := t.d, t.r, t.lat
+	t.r = nil
+	d.transfers.Put(t)
+	d.eng.Post(lat, r)
 }
 
 // DeliveredGBps reports achieved bandwidth over the elapsed ticks.

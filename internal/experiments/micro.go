@@ -124,17 +124,17 @@ func fig4dHybrid(cfg config.Config) *stats.Breakdown {
 		i := i
 		addr := uint64(i) * 4096
 		t0 := eng.Now()
-		dispatch.Acquire(dispatchLat, func() {
+		dispatch.Acquire(dispatchLat, sim.Func(func() {
 			t1 := eng.Now()
 			b.Add("L2-engine net", config.TicksToNs(t1-t0))
-			firmware.Acquire(cfg.Engine.FTLLatPerReq, func() {
+			firmware.Acquire(cfg.Engine.FTLLatPerReq, sim.Func(func() {
 				t2 := eng.Now()
 				b.Add("SSD engine", config.TicksToNs(t2-t1))
 				finish := func(t3 sim.Tick) {
-					bufPort.Send(128, func() {
+					bufPort.Send(128, sim.Func(func() {
 						b.Add("DRAM buffer", config.TicksToNs(eng.Now()-t3))
 						done++
-					})
+					}))
 				}
 				if i%10 != 0 {
 					// Buffer hit.
@@ -145,14 +145,14 @@ func fig4dHybrid(cfg config.Config) *stats.Breakdown {
 				bb.Plane(loc.Plane).Read(loc.Block, loc.Page, func() {
 					t3 := eng.Now()
 					b.Add("flash array", config.TicksToNs(t3-t2))
-					channels[loc.Plane%len(channels)].Send(fcfg.PageBytes, func() {
+					channels[loc.Plane%len(channels)].Send(fcfg.PageBytes, sim.Func(func() {
 						t4 := eng.Now()
 						b.Add("engine-flash net", config.TicksToNs(t4-t3))
 						finish(t4)
-					})
+					}))
 				})
-			})
-		})
+			}))
+		}))
 	}
 	eng.Run()
 	// Normalize the accumulated sums to per-request values.
@@ -185,7 +185,7 @@ func measuredQueue(dcfg config.DRAM) float64 {
 		issued++
 		start := eng.Now()
 		dev.Access(&mem.Request{Addr: uint64(issued) * uint64(dcfg.AccessGran), Size: dcfg.AccessGran,
-			Done: func() { total += eng.Now() - start - dcfg.ReadLat }})
+			Issuer: mem.CompleterFunc(func(*mem.Request) { total += eng.Now() - start - dcfg.ReadLat })})
 		eng.Schedule(gap, issue)
 	}
 	issue()
@@ -252,7 +252,7 @@ func saturateEngine(cfg config.Config) float64 {
 	var bytes uint64
 	for i := 0; i < n; i++ {
 		mod.Access(&mem.Request{Addr: uint64(i%32) * 128, Size: 128,
-			Done: func() { bytes += 128 }})
+			Issuer: mem.CompleterFunc(func(*mem.Request) { bytes += 128 })})
 	}
 	eng.Run()
 	return config.BytesPerTickToGBps(float64(bytes) / float64(eng.Now()-start))

@@ -188,7 +188,7 @@ func (p *Plane) Read(block, page int, fn func()) {
 	}
 	p.Reads++
 	p.bb.ArrayReads.Inc()
-	p.res.Acquire(p.bb.Cfg.ReadLat, fn)
+	p.res.Acquire(p.bb.Cfg.ReadLat, sim.Handle(fn))
 }
 
 // Program writes one page. It enforces Z-NAND's in-order programming:
@@ -209,7 +209,7 @@ func (p *Plane) Program(block, page int, fn func()) error {
 	bl.setValid(page)
 	p.Programs++
 	p.bb.ArrayPrograms.Inc()
-	p.res.Acquire(p.bb.Cfg.ProgramLat, fn)
+	p.res.Acquire(p.bb.Cfg.ProgramLat, sim.Handle(fn))
 	return nil
 }
 
@@ -233,7 +233,7 @@ func (p *Plane) Erase(block int, fn func()) error {
 	bl.WritePtr = 0
 	bl.clearAll()
 	p.bb.Erases.Inc()
-	p.res.Acquire(p.bb.Cfg.EraseLat, fn)
+	p.res.Acquire(p.bb.Cfg.EraseLat, sim.Handle(fn))
 	return nil
 }
 
@@ -241,12 +241,12 @@ func (p *Plane) Erase(block int, fn func()) error {
 // read burst of a GC merge) as one array occupancy of n*tR.
 func (p *Plane) ReadMany(n int, fn func()) {
 	if n <= 0 {
-		p.res.Acquire(0, fn)
+		p.res.Acquire(0, sim.Handle(fn))
 		return
 	}
 	p.Reads += uint64(n)
 	p.bb.ArrayReads.Add(uint64(n))
-	p.res.Acquire(sim.Tick(n)*p.bb.Cfg.ReadLat, fn)
+	p.res.Acquire(sim.Tick(n)*p.bb.Cfg.ReadLat, sim.Handle(fn))
 }
 
 // ProgramRange programs n in-order pages starting at the block's write
@@ -254,7 +254,7 @@ func (p *Plane) ReadMany(n int, fn func()) {
 // merge).
 func (p *Plane) ProgramRange(block, n int, fn func()) error {
 	if n <= 0 {
-		p.res.Acquire(0, fn)
+		p.res.Acquire(0, sim.Handle(fn))
 		return nil
 	}
 	bl := p.Block(block)
@@ -267,7 +267,7 @@ func (p *Plane) ProgramRange(block, n int, fn func()) error {
 	bl.WritePtr += n
 	p.Programs += uint64(n)
 	p.bb.ArrayPrograms.Add(uint64(n))
-	p.res.Acquire(sim.Tick(n)*p.bb.Cfg.ProgramLat, fn)
+	p.res.Acquire(sim.Tick(n)*p.bb.Cfg.ProgramLat, sim.Handle(fn))
 	return nil
 }
 

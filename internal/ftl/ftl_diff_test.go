@@ -415,7 +415,7 @@ func (s *refSplit) merge(g *refLogGroup) {
 	sortU64(affected)
 
 	plane := s.bb.Plane(g.plane)
-	s.helper.Acquire(s.cfg.HelperThreadLat, func() {
+	s.helper.Acquire(s.cfg.HelperThreadLat, sim.Func(func() {
 		reads := liveLog
 		for _, vb := range affected {
 			reads += plane.Block(s.dbmt[vb]).ValidCount()
@@ -450,7 +450,7 @@ func (s *refSplit) merge(g *refLogGroup) {
 				return
 			}
 		})
-	})
+	}))
 }
 
 func (s *refSplit) mergeDone(g *refLogGroup) {

@@ -229,7 +229,7 @@ func (s *Split) merge(g *logGroup) {
 	liveLog := len(keys)
 
 	plane := s.bb.Plane(g.plane)
-	s.helper.Acquire(s.cfg.HelperThreadLat, func() {
+	s.helper.Acquire(s.cfg.HelperThreadLat, sim.Func(func() {
 		// Read phase: live log pages plus the still-valid pages of each
 		// affected data block.
 		reads := liveLog
@@ -272,7 +272,7 @@ func (s *Split) merge(g *logGroup) {
 				return
 			}
 		})
-	})
+	}))
 }
 
 func (s *Split) mergeDone(g *logGroup) {

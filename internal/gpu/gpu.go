@@ -10,6 +10,11 @@
 // warp blocks until its memory instruction's coalesced sectors all
 // complete. IPC is instructions retired over elapsed cycles — the
 // metric Fig. 10 normalizes.
+//
+// A warp is its own engine event, and each memory instruction and
+// each of its coalesced accesses is a pooled record, so issuing and
+// completing memory instructions allocates nothing in the steady
+// state.
 package gpu
 
 import (
@@ -31,6 +36,9 @@ type GPU struct {
 
 	sms  []*sm
 	apps []*appRun
+
+	insts    sim.FreeList[memInst]
+	accesses sim.FreeList[access]
 
 	Insts   stats.Counter
 	start   sim.Tick
@@ -116,6 +124,9 @@ func (g *GPU) IPC() float64 {
 // Done reports whether every launched app has finished.
 func (g *GPU) Done() bool { return g.running == 0 && len(g.apps) > 0 }
 
+// Fire launches the next kernel after a barrier.
+func (r *appRun) Fire() { r.startKernel() }
+
 func (r *appRun) startKernel() {
 	warps := r.app.Warps()
 	r.live = warps
@@ -128,7 +139,7 @@ func (r *appRun) startKernel() {
 			id:     r.app.Index<<20 | r.kernel<<10 | w,
 		}
 		// Stagger warp starts by a cycle to avoid a synchronized stampede.
-		r.g.eng.Schedule(sim.Tick(w%workload.SectorBytes), wc.step)
+		r.g.eng.Post(sim.Tick(w%workload.SectorBytes), wc)
 	}
 }
 
@@ -140,7 +151,7 @@ func (r *appRun) warpDone() {
 	r.kernel++
 	if r.kernel < r.app.Kernels() {
 		// Kernel barrier: the next launch begins once all warps retire.
-		r.g.eng.Schedule(1, r.startKernel)
+		r.g.eng.Post(1, r)
 		return
 	}
 	r.g.running--
@@ -164,9 +175,28 @@ type warpCtx struct {
 	pendingMem int
 	blocked    bool
 	draining   bool
+
+	// issuing marks an instruction in the issue pipeline: the warp's
+	// next event retires it rather than stepping. acc and pc are its
+	// memory accesses, if any.
+	issuing bool
+	acc     []workload.Access
+	pc      uint64
 }
 
-// step fetches and executes the warp's next instruction.
+// Fire is the warp's one engine event: it retires the instruction in
+// the issue pipeline, or fetches the next one. A warp never has both
+// pending at once.
+func (w *warpCtx) Fire() {
+	if w.issuing {
+		w.issuing = false
+		w.issued()
+		return
+	}
+	w.step()
+}
+
+// step fetches the warp's next instruction into the issue pipeline.
 func (w *warpCtx) step() {
 	g := w.run.g
 	inst, ok := w.stream.Next()
@@ -190,42 +220,85 @@ func (w *warpCtx) step() {
 		cost, insts = 1, 1
 	}
 	g.Insts.Add(uint64(insts))
-	acc := inst.Acc
-	pc := inst.PC
-	w.sm.issue.Acquire(cost, func() {
-		if len(acc) == 0 {
-			g.eng.Schedule(0, w.step)
-			return
-		}
-		w.pendingMem++
-		outstanding := len(acc)
-		for _, a := range acc {
-			a := a
-			g.mmu.Request(w.sm.id, a.Addr, func(pa uint64) {
-				r := &mem.Request{
-					Addr: pa, Size: workload.SectorBytes, Write: a.Write,
-					PC: pc, Warp: w.id, SM: w.sm.id,
-					Done: func() {
-						outstanding--
-						if outstanding == 0 {
-							w.memDone()
-						}
-					},
-				}
-				g.l1s[w.sm.id].Access(r)
-			})
-		}
-		max := g.cfg.MaxPerWarpMem
-		if max < 1 {
-			max = 1
-		}
-		if w.pendingMem < max {
-			// Run ahead to the next instruction.
-			g.eng.Schedule(1, w.step)
-		} else {
-			w.blocked = true
-		}
-	})
+	w.acc, w.pc = inst.Acc, inst.PC
+	w.issuing = true
+	w.sm.issue.Acquire(cost, w)
+}
+
+// issued sends the retired instruction's accesses through translation
+// and runs ahead, or blocks on the outstanding-instruction limit.
+func (w *warpCtx) issued() {
+	g := w.run.g
+	acc := w.acc
+	w.acc = nil
+	if len(acc) == 0 {
+		g.eng.Post(0, w)
+		return
+	}
+	w.pendingMem++
+	mi := g.insts.Get()
+	mi.w, mi.pc, mi.outstanding = w, w.pc, len(acc)
+	for _, a := range acc {
+		x := g.accesses.Get()
+		x.inst, x.write = mi, a.Write
+		g.mmu.Request(w.sm.id, a.Addr, x)
+	}
+	max := g.cfg.MaxPerWarpMem
+	if max < 1 {
+		max = 1
+	}
+	if w.pendingMem < max {
+		// Run ahead to the next instruction.
+		g.eng.Post(1, w)
+	} else {
+		w.blocked = true
+	}
+}
+
+// memInst is one memory instruction in flight: it retires when its
+// last coalesced access completes.
+type memInst struct {
+	w           *warpCtx
+	pc          uint64
+	outstanding int
+}
+
+// access is one coalesced sector access of a memory instruction. It
+// is the translation target, then issues its embedded request to the
+// SM's L1 and is that request's completion target.
+type access struct {
+	inst  *memInst
+	write bool
+	req   mem.Request
+}
+
+// Translated issues the sector to the L1 once its address is known.
+func (a *access) Translated(pa uint64) {
+	mi := a.inst
+	w := mi.w
+	a.req = mem.Request{
+		Addr: pa, Size: workload.SectorBytes, Write: a.write,
+		PC: mi.pc, Warp: w.id, SM: w.sm.id,
+		Issuer: a,
+	}
+	w.run.g.l1s[w.sm.id].Access(&a.req)
+}
+
+// Completed retires the access and, with the last one, its
+// instruction.
+func (a *access) Completed(*mem.Request) {
+	mi := a.inst
+	w := mi.w
+	g := w.run.g
+	a.inst = nil
+	g.accesses.Put(a)
+	mi.outstanding--
+	if mi.outstanding > 0 {
+		return
+	}
+	mi.w = nil
+	g.insts.Put(mi)
+	w.memDone()
 }
 
 // memDone retires one memory instruction and resumes the warp if it
@@ -241,6 +314,6 @@ func (w *warpCtx) memDone() {
 	}
 	if w.blocked {
 		w.blocked = false
-		g.eng.Schedule(1, w.step)
+		g.eng.Post(1, w)
 	}
 }

@@ -19,7 +19,7 @@ type fixedMem struct {
 
 func (f *fixedMem) Access(r *mem.Request) {
 	f.seen++
-	f.eng.Schedule(f.lat, r.Complete)
+	f.eng.Post(f.lat, r)
 }
 
 func rig(lat sim.Tick) (*sim.Engine, *GPU, *fixedMem) {
@@ -162,4 +162,48 @@ func TestLaunchValidation(t *testing.T) {
 		}
 	}()
 	g.Launch()
+}
+
+// One memory instruction — its pooled instruction record, one access
+// record per sector (translation target, L1 request and completion
+// target), the MMU walk and the L1 — allocates nothing once warm.
+func TestMemoryInstructionAllocFree(t *testing.T) {
+	eng := sim.NewEngine()
+	c := config.Default()
+	c.GPU.SMs = 1
+	// One instruction in flight per warp: issued blocks the warp
+	// instead of fetching from a stream, so the test drives exactly
+	// one instruction per run.
+	c.GPU.MaxPerWarpMem = 1
+	u := mmu.New(eng, c.MMU, c.GPU.SMs, mmu.BaselineWalkLat(c.MMU))
+	u.Translate = func(va uint64) uint64 { return va }
+	g := New(eng, c.GPU, c.L1, u, &fixedMem{eng: eng, lat: 50})
+	// A draining warp retires into its app instead of stepping again;
+	// the app never runs out of live warps.
+	w := &warpCtx{run: &appRun{g: g, live: 1 << 30}, sm: g.sms[0], draining: true}
+	acc := make([]workload.Access, 4)
+	i := 0
+	run := func() {
+		// Fresh lines and pages every run: L1 misses and page walks.
+		base := uint64(i) * 64 * mem.PageBytes4K
+		for j := range acc {
+			acc[j] = workload.Access{Addr: base + uint64(j)*mem.PageBytes4K, Write: j == 3}
+		}
+		i++
+		w.acc, w.pc = acc, 0x100
+		w.issued()
+		eng.Run()
+	}
+	for k := 0; k < 4; k++ {
+		run()
+	}
+	if allocs := testing.AllocsPerRun(200, run); allocs != 0 {
+		t.Errorf("memory instruction allocated %.1f allocs/run, want 0", allocs)
+	}
+	if w.pendingMem != 0 {
+		t.Errorf("pendingMem = %d after drain, want 0", w.pendingMem)
+	}
+	if u.Walks.Value() == 0 || g.L1(0).Misses.Value() == 0 {
+		t.Error("instruction did not walk and miss")
+	}
 }

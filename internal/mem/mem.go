@@ -1,11 +1,20 @@
 // Package mem defines the memory request type that flows through the
 // simulated hierarchy (SM coalescer -> TLB/MMU -> L1 -> L2 -> platform
 // backend) and the interface every level implements.
+//
+// Ownership rule: a request belongs to its issuer. The issuer fills
+// it in, passes it down with Memory.Access, and gets it back exactly
+// once through Completer.Completed. A level that completes a request
+// (by calling Complete, or by posting the request as its own engine
+// event) must not touch it afterwards, because the issuer may recycle
+// the record from inside its Completed callback. This is what lets
+// every level keep its requests on free lists instead of allocating
+// one per access.
 package mem
 
 // Request is one coalesced memory access. GPU requests are 128 B
 // sectors (Section III-A); prefetches and page-fault fills may be
-// larger.
+// larger. See the package comment for who may touch a request when.
 type Request struct {
 	// Addr is the request address. Before translation it is a virtual
 	// address; platforms that translate in the MMU rewrite it to a
@@ -23,23 +32,44 @@ type Request struct {
 	SM   int
 	// Prefetch marks requests injected by the read-prefetch unit.
 	Prefetch bool
-	// Done is invoked exactly once when the request is complete.
-	Done func()
+	// Issuer is told exactly once when the request is complete; nil
+	// means nobody waits for it.
+	Issuer Completer
 }
 
-// Complete invokes Done if set. Levels must call it exactly once per
-// request they own.
+// Completer is the typed completion target of a request: usually the
+// issuer's own pooled record, so completion allocates nothing.
+type Completer interface {
+	// Completed reports that r is done. The issuer owns r again and
+	// may recycle it before returning.
+	Completed(r *Request)
+}
+
+// CompleterFunc adapts a function to Completer.
+type CompleterFunc func(r *Request)
+
+// Completed implements Completer.
+func (f CompleterFunc) Completed(r *Request) { f(r) }
+
+// Complete hands r back to its issuer. The level that owns r calls it
+// exactly once and must not touch r afterwards.
 func (r *Request) Complete() {
-	if r.Done != nil {
-		r.Done()
+	if r.Issuer != nil {
+		r.Issuer.Completed(r)
 	}
 }
+
+// Fire makes a request its own engine event (a sim.Handler): posting
+// r completes it when the event fires, so a level charges a fixed
+// completion latency without allocating a callback.
+func (r *Request) Fire() { r.Complete() }
 
 // Memory is anything that can service requests: a cache level, an
 // interconnect adapter, a DRAM controller, the flash backbone.
 type Memory interface {
-	// Access starts servicing r. Completion is signalled via r.Done,
-	// possibly synchronously for zero-latency hits.
+	// Access starts servicing r. Completion is signalled once through
+	// r.Complete, possibly synchronously for zero-latency hits; from
+	// then on r belongs to its issuer again.
 	Access(r *Request)
 }
 

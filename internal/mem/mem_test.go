@@ -44,10 +44,15 @@ func TestLineAddrProperty(t *testing.T) {
 
 func TestCompleteNilSafe(t *testing.T) {
 	r := &Request{}
-	r.Complete() // must not panic with nil Done
+	r.Complete() // must not panic with nil Issuer
 	called := 0
-	r.Done = func() { called++ }
-	r.Complete()
+	r.Issuer = CompleterFunc(func(got *Request) {
+		if got != r {
+			t.Errorf("Completed got %p, want %p", got, r)
+		}
+		called++
+	})
+	r.Fire()
 	if called != 1 {
 		t.Errorf("called = %d", called)
 	}
@@ -57,7 +62,7 @@ func TestFuncAdapter(t *testing.T) {
 	hit := false
 	var m Memory = Func(func(r *Request) { hit = true; r.Complete() })
 	done := false
-	m.Access(&Request{Done: func() { done = true }})
+	m.Access(&Request{Issuer: CompleterFunc(func(*Request) { done = true })})
 	if !hit || !done {
 		t.Error("Func adapter failed")
 	}

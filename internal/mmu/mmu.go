@@ -13,7 +13,8 @@
 //
 // The actual virtual-to-physical mapping function is injected by the
 // platform (identity for DRAM platforms, DBMT for ZnG); this package
-// charges the time.
+// charges the time. Each translation in flight is one pooled record,
+// so translating allocates nothing in the steady state.
 package mmu
 
 import (
@@ -260,7 +261,11 @@ type Unit struct {
 	// Fault, if non-nil, is consulted on every translation; returning
 	// true means the page is non-resident and resume will be invoked
 	// by the platform when the fault is serviced (Hetero's host path).
+	// resume is bound once per pooled translation record, so passing
+	// it allocates nothing.
 	Fault func(va uint64, resume func()) bool
+
+	xlates sim.FreeList[xlate]
 
 	// Statistics.
 	L1Hits, L1Misses   stats.Counter
@@ -293,35 +298,48 @@ func BaselineWalkLat(cfg config.MMU) sim.Tick {
 	return sim.Tick(cfg.WalkLevels) * cfg.WalkMemLatency
 }
 
-// Request translates va for the given SM and calls done with the
-// physical address. Latency is charged per the TLB/walk/fault path.
-func (u *Unit) Request(sm int, va uint64, done func(pa uint64)) {
+// Translated is the typed target of a translation: usually the
+// issuer's own pooled access record.
+type Translated interface {
+	// Translated delivers the physical address of the requested va.
+	Translated(pa uint64)
+}
+
+// xlate is one translation in flight. It is the walker-pool event of
+// a full walk and the delivery event of a TLB or walk-cache hit;
+// cleared is its fault-resume callback.
+type xlate struct {
+	u   *Unit
+	sm  int
+	va  uint64
+	to  Translated
+	lat sim.Tick // delivery delay once a TLB/walk-cache hit is resident
+	// walk marks a full page-table walk: its event installs the page,
+	// and delivery follows the residency check without further delay.
+	walk    bool
+	cleared func()
+}
+
+// Request translates va for the given SM and delivers the physical
+// address to to.Translated. Latency is charged per the
+// TLB/walk/fault path.
+func (u *Unit) Request(sm int, va uint64, to Translated) {
 	if u.Translate == nil {
 		panic("mmu: Translate not configured")
 	}
 	page := va / PageBytes
 
-	finish := func() {
-		pa := u.Translate(va)
-		done(pa)
+	x := u.xlates.Get()
+	if x.cleared == nil {
+		x.cleared = x.resident
 	}
-
-	withFault := func(after func()) {
-		if u.Fault == nil {
-			after()
-			return
-		}
-		if u.Fault(va, after) {
-			u.Faults.Inc()
-			return // platform resumes us
-		}
-		after()
-	}
+	x.u, x.sm, x.va, x.to, x.walk = u, sm, va, to, false
 
 	if u.l1[sm].lookup(page) {
 		u.L1Hits.Inc()
 		// A TLB hit still requires residency (Hetero can evict pages).
-		withFault(func() { u.eng.Schedule(1, finish) })
+		x.lat = 1
+		u.checkResident(x)
 		return
 	}
 	u.L1Misses.Inc()
@@ -329,17 +347,59 @@ func (u *Unit) Request(sm int, va uint64, done func(pa uint64)) {
 	if u.walkCache.lookup(page) {
 		u.WalkCacheHits.Inc()
 		u.l1[sm].insert(page)
-		withFault(func() { u.eng.Schedule(u.WalkCacheLat, finish) })
+		x.lat = u.WalkCacheLat
+		u.checkResident(x)
 		return
 	}
 
 	// Full walk on one of the walker threads.
 	u.Walks.Inc()
-	u.walkers.Acquire(u.WalkLat, func() {
-		u.walkCache.insert(page)
-		u.l1[sm].insert(page)
-		withFault(finish)
-	})
+	x.walk = true
+	u.walkers.Acquire(u.WalkLat, x)
+}
+
+// checkResident consults the fault hook; a faulting translation waits
+// for the platform to call x.cleared.
+func (u *Unit) checkResident(x *xlate) {
+	if u.Fault != nil && u.Fault(x.va, x.cleared) {
+		u.Faults.Inc()
+		return // platform resumes us
+	}
+	x.resident()
+}
+
+// resident continues once the page is resident: a walk delivers now,
+// a hit after its lookup latency.
+func (x *xlate) resident() {
+	if x.walk {
+		x.deliver()
+		return
+	}
+	x.u.eng.Post(x.lat, x)
+}
+
+// Fire is a completed walk (install the page, then check residency)
+// or a hit's delivery.
+func (x *xlate) Fire() {
+	if !x.walk {
+		x.deliver()
+		return
+	}
+	u := x.u
+	page := x.va / PageBytes
+	u.walkCache.insert(page)
+	u.l1[x.sm].insert(page)
+	u.checkResident(x)
+}
+
+// deliver hands the physical address to the target and recycles the
+// record first, so the target may issue a new translation at once.
+func (x *xlate) deliver() {
+	u, to := x.u, x.to
+	pa := u.Translate(x.va)
+	x.to = nil
+	u.xlates.Put(x)
+	to.Translated(pa)
 }
 
 // InvalidatePage drops a page from every TLB level (used when the

@@ -150,7 +150,7 @@ func TestUnitCountersDifferential(t *testing.T) {
 		va := r.Uint64n(64) * PageBytes
 		page := va / PageBytes
 		done := false
-		u.Request(sm, va, func(uint64) { done = true })
+		u.Request(sm, va, translatedFunc(func(uint64) { done = true }))
 		eng.Run()
 		if !done {
 			t.Fatalf("op %d: translation never completed", op)

@@ -43,10 +43,10 @@ func NewXbar(eng *sim.Engine, n int, width float64, latency sim.Tick) *Xbar {
 // Ports reports the endpoint count.
 func (x *Xbar) Ports() int { return len(x.outs) }
 
-// Send moves n bytes to endpoint dst and schedules fn at delivery.
-func (x *Xbar) Send(dst, n int, fn func()) {
+// Send moves n bytes to endpoint dst and fires h at delivery.
+func (x *Xbar) Send(dst, n int, h sim.Handler) {
 	x.Bytes.Add(uint64(n))
-	x.outs[dst].Send(n, fn)
+	x.outs[dst].Send(n, h)
 }
 
 // OutBusy reports the cumulative busy time of endpoint dst's port.
@@ -61,6 +61,8 @@ type Mesh struct {
 	east, west   [][]*sim.Port
 	north, south [][]*sim.Port // north: toward y-1, south: toward y+1
 	local        []*sim.Port   // ejection into the node
+
+	packets sim.FreeList[packet]
 
 	Bytes    stats.Counter
 	Messages stats.Counter
@@ -100,31 +102,52 @@ func (m *Mesh) Hops(src, dst int) int {
 	return abs(sx-dx) + abs(sy-dy)
 }
 
-// Send routes n bytes from src to dst (XY order) and schedules fn on
+// Send routes n bytes from src to dst (XY order) and fires h on
 // delivery. src == dst still pays the local ejection port.
-func (m *Mesh) Send(src, dst, n int, fn func()) {
+func (m *Mesh) Send(src, dst, n int, h sim.Handler) {
 	if src < 0 || src >= m.Nodes() || dst < 0 || dst >= m.Nodes() {
 		panic(fmt.Sprintf("noc: bad mesh endpoints %d -> %d", src, dst))
 	}
 	m.Bytes.Add(uint64(n))
 	m.Messages.Inc()
-	m.step(src%m.dim, src/m.dim, dst%m.dim, dst/m.dim, n, fn)
+	p := m.packets.Get()
+	*p = packet{m: m, x: src % m.dim, y: src / m.dim, dx: dst % m.dim, dy: dst / m.dim, n: n, h: h}
+	m.step(p)
 }
 
+// packet is a message in flight; it is its own event at every hop.
+type packet struct {
+	m            *Mesh
+	x, y, dx, dy int
+	n            int
+	h            sim.Handler
+}
+
+// Fire arrives at the next router.
+func (p *packet) Fire() { p.m.step(p) }
+
 // step forwards the message one hop at a time: X first, then Y, then
-// the local ejection port.
-func (m *Mesh) step(x, y, dx, dy, n int, fn func()) {
+// the local ejection port, which delivers to the sender's handler.
+func (m *Mesh) step(p *packet) {
+	x, y := p.x, p.y
 	switch {
-	case x < dx:
-		m.east[y][x].Send(n, func() { m.step(x+1, y, dx, dy, n, fn) })
-	case x > dx:
-		m.west[y][x].Send(n, func() { m.step(x-1, y, dx, dy, n, fn) })
-	case y < dy:
-		m.south[y][x].Send(n, func() { m.step(x, y+1, dx, dy, n, fn) })
-	case y > dy:
-		m.north[y][x].Send(n, func() { m.step(x, y-1, dx, dy, n, fn) })
+	case x < p.dx:
+		p.x++
+		m.east[y][x].Send(p.n, p)
+	case x > p.dx:
+		p.x--
+		m.west[y][x].Send(p.n, p)
+	case y < p.dy:
+		p.y++
+		m.south[y][x].Send(p.n, p)
+	case y > p.dy:
+		p.y--
+		m.north[y][x].Send(p.n, p)
 	default:
-		m.local[y*m.dim+x].Send(n, fn)
+		n, h := p.n, p.h
+		p.h = nil
+		m.packets.Put(p)
+		m.local[y*m.dim+x].Send(n, h)
 	}
 }
 
@@ -140,10 +163,11 @@ func NewBus(eng *sim.Engine, width float64, latency sim.Tick) *Bus {
 	return &Bus{port: sim.NewPort(eng, width, latency)}
 }
 
-// Send transfers n bytes over the shared medium.
-func (b *Bus) Send(n int, fn func()) {
+// Send transfers n bytes over the shared medium and fires h on
+// delivery.
+func (b *Bus) Send(n int, h sim.Handler) {
 	b.Bytes.Add(uint64(n))
-	b.port.Send(n, fn)
+	b.port.Send(n, h)
 }
 
 // BusyTicks reports cumulative bus occupancy.

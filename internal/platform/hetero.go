@@ -32,7 +32,7 @@ func buildHetero(eng *sim.Engine, cfg config.Config) *system {
 		staging:  sim.NewPort(eng, config.GBpsToBytesPerTick(cfg.Host.StagingCopyBW), 0),
 		pcie:     sim.NewPort(eng, config.GBpsToBytesPerTick(cfg.Host.PCIeGBps), 0),
 		resident: make(map[uint64]uint64),
-		pending:  make(map[uint64][]func()),
+		pending:  make(map[uint64]*pageFault),
 	}
 	u.Fault = h.fault
 
@@ -60,7 +60,8 @@ type hostPath struct {
 
 	clock    uint64
 	resident map[uint64]uint64 // page -> LRU stamp
-	pending  map[uint64][]func()
+	pending  map[uint64]*pageFault
+	faults   sim.FreeList[pageFault]
 
 	Faults    stats.Counter
 	Evictions stats.Counter
@@ -75,36 +76,61 @@ func (h *hostPath) fault(va uint64, resume func()) bool {
 		return false
 	}
 	h.Faults.Inc()
-	if waiters, inFlight := h.pending[page]; inFlight {
-		h.pending[page] = append(waiters, resume)
+	if f, inFlight := h.pending[page]; inFlight {
+		f.waiters = append(f.waiters, resume)
 		return true
 	}
-	h.pending[page] = []func(){resume}
+	f := h.faults.Get()
+	f.h, f.page, f.stage = h, page, 0
+	f.waiters = append(f.waiters, resume)
+	h.pending[page] = f
 
 	// Interrupt + driver + user/kernel switches on a host handler, then
 	// three data movements: SSD -> host DRAM, the redundant staging
 	// copy, and PCIe DMA to the GPU (Section II-C).
-	h.handlers.Acquire(h.cfg.FaultFixedLat, func() {
-		h.ssd.Send(mem.PageBytes4K, func() {
-			h.staging.Send(mem.PageBytes4K, func() {
-				h.pcie.Send(mem.PageBytes4K, func() { h.arrive(page) })
-			})
-		})
-	})
+	h.handlers.Acquire(h.cfg.FaultFixedLat, f)
 	return true
 }
 
-func (h *hostPath) arrive(page uint64) {
+// pageFault is one page in flight through the host path; it is the
+// event of each stage and holds the translations waiting on the page.
+type pageFault struct {
+	h       *hostPath
+	page    uint64
+	stage   int
+	waiters []func()
+}
+
+// Fire advances the fault one data movement.
+func (f *pageFault) Fire() {
+	h := f.h
+	f.stage++
+	switch f.stage {
+	case 1:
+		h.ssd.Send(mem.PageBytes4K, f)
+	case 2:
+		h.staging.Send(mem.PageBytes4K, f)
+	case 3:
+		h.pcie.Send(mem.PageBytes4K, f)
+	default:
+		h.arrive(f)
+	}
+}
+
+func (h *hostPath) arrive(f *pageFault) {
+	page := f.page
 	h.clock++
 	h.resident[page] = h.clock
 	if len(h.resident) > h.cfg.GPUMemPages {
 		h.evictLRU()
 	}
-	waiters := h.pending[page]
 	delete(h.pending, page)
-	for _, w := range waiters {
+	for i, w := range f.waiters {
+		f.waiters[i] = nil
 		w()
 	}
+	f.waiters = f.waiters[:0]
+	h.faults.Put(f)
 }
 
 func (h *hostPath) evictLRU() {

@@ -53,7 +53,7 @@ func buildZnG(eng *sim.Engine, kind Kind, cfg config.Config) *system {
 	ctl := &zngController{
 		eng: eng, bb: bb, split: split, mesh: mesh, xbar: xbar,
 		camLat:       rowDecoderLat,
-		sensePending: make(map[uint64][]*mem.Request),
+		sensePending: make(map[uint64]*sense),
 		readRegs:     make([]pageRing, bb.Planes()),
 	}
 	// At most two registers double-buffer reads; the rest (if any)
@@ -142,8 +142,11 @@ type zngController struct {
 	// single array sense; readRegs model the plane cache registers
 	// holding recently sensed pages (Section II-B), which serve
 	// repeated reads without touching the array again.
-	sensePending map[uint64][]*mem.Request
+	sensePending map[uint64]*sense
 	readRegs     []pageRing
+
+	reqs   sim.FreeList[zngReq]
+	senses sim.FreeList[sense]
 
 	DemandFills   stats.Counter
 	PrefetchBytes stats.Counter
@@ -189,26 +192,79 @@ func (z *zngController) node(va uint64) int {
 	return z.bb.PackageOf(z.split.PlaneOf(vb))
 }
 
+// zngReq carries one request through the controller; it is the event
+// of each hop.
+type zngReq struct {
+	z     *zngController
+	r     *mem.Request
+	n     int // mesh/crossbar node of the request's home plane
+	stage zngStage
+}
+
+type zngStage uint8
+
+const (
+	storeArrived zngStage = iota // a store crossed the crossbar
+	readArrived                  // a read command crossed the crossbar
+	camResolved                  // the row decoder's CAM search is done
+	delivered                    // the fill crossed the mesh
+)
+
 // Access implements mem.Memory for L2 fills (reads) and write-backs /
 // write-throughs (stores).
 func (z *zngController) Access(r *mem.Request) {
-	n := z.node(r.Addr)
+	q := z.reqs.Get()
+	q.z, q.r, q.n = z, r, z.node(r.Addr)
 	if r.Write {
 		// Stores ride the crossbar to the controller, then enter the
 		// register cache.
-		z.xbar.Send(n, r.Size, func() {
-			z.regs.Write(r.Addr, r.Complete)
-		})
+		q.stage = storeArrived
+		z.xbar.Send(q.n, r.Size, q)
 		return
 	}
 	// Reads: command packet to the controller first.
-	z.xbar.Send(n, 16, func() { z.read(r, n) })
+	q.stage = readArrived
+	z.xbar.Send(q.n, 16, q)
 }
 
-func (z *zngController) read(r *mem.Request, n int) {
+// Fire advances the request past the hop it just finished.
+func (q *zngReq) Fire() {
+	z := q.z
+	switch q.stage {
+	case storeArrived:
+		r := z.release(q)
+		z.regs.Write(r.Addr, r)
+	case readArrived:
+		z.read(q)
+	case camResolved:
+		z.resolve(q)
+	case delivered:
+		r := z.release(q)
+		if r.Size > 128 && z.l2 != nil {
+			ext := r.Size - 128
+			z.PrefetchBytes.Add(uint64(ext))
+			for off := 128; off < r.Size; off += 128 {
+				z.l2.InstallPrefetch(r.Addr + uint64(off))
+			}
+		}
+		r.Complete()
+	}
+}
+
+// release recycles q and returns its request.
+func (z *zngController) release(q *zngReq) *mem.Request {
+	r := q.r
+	q.r = nil
+	z.reqs.Put(q)
+	return r
+}
+
+func (z *zngController) read(q *zngReq) {
+	r, n := q.r, q.n
 	// Newest data may still sit in a flash write register.
 	if z.regs.ReadCheck(r.Addr) {
-		z.mesh.Send(n, n, r.Size, r.Complete)
+		z.release(q)
+		z.mesh.Send(n, n, r.Size, r)
 		return
 	}
 
@@ -220,54 +276,80 @@ func (z *zngController) read(r *mem.Request, n int) {
 		}
 	}
 
-	page := mem.PageAddr(r.Addr, z.bb.Cfg.PageBytes)
-
 	// A sense for this page already in flight: piggyback on it.
-	if waiters, ok := z.sensePending[page]; ok {
-		z.SenseMerges.Inc()
-		z.sensePending[page] = append(waiters, r)
+	if z.mergeSense(q) {
 		return
 	}
 
 	// The page may still sit in one of the plane's cache registers.
-	z.eng.Schedule(z.camLat, func() {
-		loc := z.split.ReadLoc(r.Addr)
-		if z.readRegs[loc.Plane].contains(page) {
-			z.RegReadHits.Inc()
-			z.deliver(r, n)
-			return
-		}
-		if waiters, ok := z.sensePending[page]; ok {
-			z.SenseMerges.Inc()
-			z.sensePending[page] = append(waiters, r)
-			return
-		}
-		z.sensePending[page] = []*mem.Request{r}
-		z.DemandFills.Inc()
-		z.bb.Plane(loc.Plane).Read(loc.Block, loc.Page, func() {
-			z.readRegs[loc.Plane].push(page)
-			waiters := z.sensePending[page]
-			delete(z.sensePending, page)
-			for _, w := range waiters {
-				z.deliver(w, n)
-			}
-		})
-	})
+	q.stage = camResolved
+	z.eng.Post(z.camLat, q)
 }
 
-// deliver moves a (possibly prefetch-widened) fill over the mesh and
-// installs any extra lines into L2.
-func (z *zngController) deliver(r *mem.Request, n int) {
-	z.mesh.Send(n, n, r.Size, func() {
-		if r.Size > 128 && z.l2 != nil {
-			ext := r.Size - 128
-			z.PrefetchBytes.Add(uint64(ext))
-			for off := 128; off < r.Size; off += 128 {
-				z.l2.InstallPrefetch(r.Addr + uint64(off))
-			}
-		}
-		r.Complete()
-	})
+// mergeSense piggybacks q on an in-flight sense of its page.
+func (z *zngController) mergeSense(q *zngReq) bool {
+	sn, ok := z.sensePending[mem.PageAddr(q.r.Addr, z.bb.Cfg.PageBytes)]
+	if ok {
+		z.SenseMerges.Inc()
+		sn.waiters = append(sn.waiters, q)
+	}
+	return ok
+}
+
+// resolve runs after the CAM search: serve from a plane cache
+// register, join a sense that started meanwhile, or sense the page.
+func (z *zngController) resolve(q *zngReq) {
+	r := q.r
+	page := mem.PageAddr(r.Addr, z.bb.Cfg.PageBytes)
+	loc := z.split.ReadLoc(r.Addr)
+	if z.readRegs[loc.Plane].contains(page) {
+		z.RegReadHits.Inc()
+		z.deliver(q)
+		return
+	}
+	if z.mergeSense(q) {
+		return
+	}
+	sn := z.senses.Get()
+	if sn.done == nil {
+		sn.done = sn.sensed
+	}
+	sn.z, sn.page, sn.plane = z, page, loc.Plane
+	sn.waiters = append(sn.waiters, q)
+	z.sensePending[page] = sn
+	z.DemandFills.Inc()
+	z.bb.Plane(loc.Plane).Read(loc.Block, loc.Page, sn.done)
+}
+
+// sense is one flash array read in flight and the fills merged onto
+// it; done is its bound completion callback.
+type sense struct {
+	z       *zngController
+	page    uint64
+	plane   int
+	waiters []*zngReq
+	done    func()
+}
+
+// sensed latches the page into a plane register and delivers every
+// merged fill.
+func (sn *sense) sensed() {
+	z := sn.z
+	z.readRegs[sn.plane].push(sn.page)
+	delete(z.sensePending, sn.page)
+	for i, q := range sn.waiters {
+		sn.waiters[i] = nil
+		z.deliver(q)
+	}
+	sn.waiters = sn.waiters[:0]
+	z.senses.Put(sn)
+}
+
+// deliver moves a (possibly prefetch-widened) fill over the mesh; the
+// delivered stage installs any extra lines into L2.
+func (z *zngController) deliver(q *zngReq) {
+	q.stage = delivered
+	z.mesh.Send(q.n, q.n, q.r.Size, q)
 }
 
 // planPrefetch clamps a prefetch extent to the flash page end.

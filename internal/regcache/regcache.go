@@ -156,11 +156,11 @@ func (c *Cache) ReadCheck(va uint64) bool {
 	return hit
 }
 
-// Write absorbs one sector store. fn fires when the store is durable
-// in a register — immediately on a hit or clean allocation, or after
-// the eviction it forced has drained to flash (the backpressure of a
-// thrashing register file).
-func (c *Cache) Write(va uint64, fn func()) {
+// Write absorbs one sector store. h (if non-nil) fires when the store
+// is durable in a register — immediately on a hit or clean
+// allocation, or after the eviction it forced has drained to flash
+// (the backpressure of a thrashing register file).
+func (c *Cache) Write(va uint64, h sim.Handler) {
 	p, target := c.pkgOf(va)
 	vp := c.vpage(va)
 	p.clock++
@@ -172,7 +172,7 @@ func (c *Cache) Write(va uint64, fn func()) {
 		c.Allocs.Inc()
 		c.Evictions.Inc()
 		e := &regEntry{sectors: c.sectorBit(va), regPlane: target}
-		c.evict(p, vp, e, func() { c.eng.Schedule(c.cfg.BusLat, fn) })
+		c.evict(p, vp, e, c.drained(h))
 		return
 	}
 
@@ -181,15 +181,13 @@ func (c *Cache) Write(va uint64, fn func()) {
 		e.stamp = p.clock
 		c.Hits.Inc()
 		c.endWindow(p)
-		c.eng.Schedule(c.cfg.BusLat, fn)
+		c.eng.Post(c.cfg.BusLat, h)
 		return
 	}
 
 	c.Allocs.Inc()
 	p.misses++
 	c.endWindow(p)
-
-	drained := func() { c.eng.Schedule(c.cfg.BusLat, fn) }
 
 	if c.perPlaneDir {
 		// Per-plane mode: each plane's RegsPerPlane registers hold open
@@ -207,10 +205,9 @@ func (c *Cache) Write(va uint64, fn func()) {
 			prev := p.entries[victimVP]
 			delete(p.entries, victimVP)
 			list = append(list[:lru], list[lru+1:]...)
-			c.evict(p, victimVP, prev, drained)
+			c.evict(p, victimVP, prev, c.drained(h))
 		} else {
-			drained = nil
-			c.eng.Schedule(c.cfg.BusLat, fn)
+			c.eng.Post(c.cfg.BusLat, h)
 		}
 		p.entries[vp] = &regEntry{stamp: p.clock, sectors: c.sectorBit(va), regPlane: target}
 		p.owner[target] = append(list, vp)
@@ -221,15 +218,21 @@ func (c *Cache) Write(va uint64, fn func()) {
 	if len(p.entries) >= p.cap {
 		victimVP, victim := lruVictim(p)
 		delete(p.entries, victimVP)
-		c.evict(p, victimVP, victim, drained)
+		c.evict(p, victimVP, victim, c.drained(h))
 	} else {
-		drained = nil
-		c.eng.Schedule(c.cfg.BusLat, fn)
+		c.eng.Post(c.cfg.BusLat, h)
 	}
 	planesPerPkg := c.bb.Cfg.DiesPerPkg * c.bb.Cfg.PlanesPerDie
 	regPlane := p.id*planesPerPkg + p.rr%planesPerPkg
 	p.rr++
 	p.entries[vp] = &regEntry{stamp: p.clock, sectors: c.sectorBit(va), regPlane: regPlane}
+}
+
+// drained returns the callback of an eviction a store forced: the
+// store is acknowledged one bus hop after the victim drains. It is
+// built only when an eviction happens.
+func (c *Cache) drained(h sim.Handler) func() {
+	return func() { c.eng.Post(c.cfg.BusLat, h) }
 }
 
 func lruVictim(p *pkg) (uint64, *regEntry) {
@@ -299,14 +302,14 @@ func (c *Cache) migrate(p *pkg, fn func()) {
 	case config.SWnet:
 		// Register -> controller buffer -> remote register: two flash-
 		// network transfers through the package's router.
-		c.mesh.Send(p.id, p.id, page, func() {
-			c.mesh.Send(p.id, p.id, page, fn)
-		})
+		c.mesh.Send(p.id, p.id, page, sim.Func(func() {
+			c.mesh.Send(p.id, p.id, page, sim.Handle(fn))
+		}))
 	case config.FCnet:
 		// Dedicated point-to-point wire: latency only.
 		c.eng.Schedule(c.cfg.BusLat, fn)
 	default: // NiF
-		p.local.Send(page, fn)
+		p.local.Send(page, sim.Handle(fn))
 	}
 }
 

@@ -36,7 +36,7 @@ func TestWriteRedundancyAbsorbed(t *testing.T) {
 	// 65 stores to the same page (Fig. 5c redundancy): one allocation,
 	// zero programs while resident.
 	for i := 0; i < 65; i++ {
-		c.Write(uint64(i%4)*SectorBytes, func() { done++ })
+		c.Write(uint64(i%4)*SectorBytes, sim.Func(func() { done++ }))
 		eng.Run()
 	}
 	if done != 65 {
@@ -60,7 +60,7 @@ func TestEvictionProgramsFlash(t *testing.T) {
 	stride := uint64(bb.Planes()) * uint64(bb.Cfg.PageBytes)
 	done := 0
 	for i := 0; i < 3; i++ {
-		c.Write(uint64(i)*stride, func() { done++ })
+		c.Write(uint64(i)*stride, sim.Func(func() { done++ }))
 		eng.Run()
 	}
 	if done != 3 {
@@ -124,9 +124,9 @@ func TestBaseModePerPlaneConflict(t *testing.T) {
 	// free registers (no cross-plane grouping).
 	stride := uint64(bb.Planes()) * uint64(bb.Cfg.PageBytes)
 	done := 0
-	c.Write(0, func() { done++ })
+	c.Write(0, sim.Func(func() { done++ }))
 	eng.Run()
-	c.Write(stride, func() { done++ })
+	c.Write(stride, sim.Func(func() { done++ }))
 	eng.Run()
 	if c.Evictions.Value() != 1 {
 		t.Errorf("base-mode conflict evictions = %d, want 1", c.Evictions.Value())

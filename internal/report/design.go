@@ -19,11 +19,25 @@ Everything runs on one discrete-event kernel: an event queue ordered
 by tick, bandwidth-limited ` + "`Port`" + `s, occupancy-limited ` + "`Resource`" + `s and
 worker ` + "`Pool`" + `s. One tick is one GPU core cycle (1.2 GHz per Table I,
 0.8333 ns); ` + "`internal/config`" + ` converts nanosecond device parameters to
-ticks. The queue is a monomorphic 4-ary min-heap — no interface
-boxing, backing slice reused — and same-tick events fire FIFO, a
-contract the tests pin because determinism is load-bearing: a
-simulation is a pure function of its inputs, which is what lets
-` + "`internal/experiments`" + ` memoize whole runs (see below).
+ticks. The queue is a monomorphic 4-ary min-heap of 32-byte events
+(tick, sequence number, typed ` + "`Handler`" + `) whose backing slice is
+reused, and same-tick events fire FIFO, a contract the tests pin
+because determinism is load-bearing: a simulation is a pure function
+of its inputs, which is what lets ` + "`internal/experiments`" + ` memoize
+whole runs (see below).
+
+The simulated memory path allocates nothing per access. A handler is
+a component's own pooled record, such as a cache lookup, an MSHR
+entry with its embedded line fill, an MMU translation or a GPU
+access, so posting an event stores a pointer the component already
+holds. ` + "`Schedule(delay, func())`" + ` remains as a thin adapter for
+callbacks. A ` + "`mem.Request`" + ` completes through a typed ` + "`Completer`" + `
+and can be posted as its own completion event. The ownership rule
+keeps recycling safe: a request belongs to its issuer, a level must
+not touch it after completing it, and the issuer may recycle it from
+inside its ` + "`Completed`" + ` callback. Every hop is still its own event,
+so event counts, and with them the sequence-number tie-breaks, do not
+depend on how a handler is represented.
 
 ## Workload model (` + "`internal/workload`" + `, ` + "`internal/rng`" + `)
 

@@ -15,10 +15,26 @@ package sim
 // Tick is simulated time measured in GPU core cycles.
 type Tick int64
 
+// Handler is an event's action. Components implement it on their own
+// pooled records (a cache lookup, a translation, a memory request), so
+// posting an event stores a pointer the caller already holds and
+// allocates nothing. Func adapts a plain function.
+type Handler interface{ Fire() }
+
+// Func adapts a function to Handler. A func value is pointer-shaped,
+// so converting one to a Handler does not allocate beyond whatever
+// closure the function itself captured.
+type Func func()
+
+// Fire implements Handler.
+func (f Func) Fire() { f() }
+
+// event is 32 bytes: the handler is the record itself, with no
+// separate argument word, which keeps siftDown's moves cheap.
 type event struct {
 	when Tick
 	seq  uint64
-	fn   func()
+	h    Handler
 }
 
 // before orders events by (when, seq): time first, then schedule
@@ -34,13 +50,16 @@ func (a event) before(b event) bool {
 //
 // The event queue is a hand-rolled 4-ary min-heap rather than
 // container/heap: the interface-based heap boxes every pushed event
-// into an `any` (one allocation per Schedule) and dispatches every
+// into an `any` (one allocation per push) and dispatches every
 // comparison through an interface call. A simulation fires hundreds of
 // millions of events, so the queue is the hottest structure in the
 // whole model; the monomorphic heap pushes and pops with zero
 // allocations on the steady state (the backing slice is retained
 // across pushes) and a 4-ary layout halves tree depth, trading a few
 // extra comparisons per level for far fewer cache-missing swaps.
+//
+// Events carry a typed Handler. Post with a pooled record allocates
+// nothing; Schedule with a closure costs only the closure.
 type Engine struct {
 	now    Tick
 	seq    uint64
@@ -60,29 +79,41 @@ func (e *Engine) Fired() uint64 { return e.fired }
 // Pending reports how many events are waiting to fire.
 func (e *Engine) Pending() int { return len(e.events) }
 
-// Schedule runs fn delay ticks from now. A negative delay is treated
-// as zero (fires later in the current tick, preserving order).
-func (e *Engine) Schedule(delay Tick, fn func()) {
+// Post fires h delay ticks from now. A negative delay is treated as
+// zero (fires later in the current tick, preserving order).
+func (e *Engine) Post(delay Tick, h Handler) {
 	if delay < 0 {
 		delay = 0
 	}
-	e.ScheduleAt(e.now+delay, fn)
+	e.PostAt(e.now+delay, h)
 }
 
-// ScheduleAt runs fn at absolute tick t. A nil fn is ignored (callers
-// chain optional completion callbacks). Scheduling in the past is an
-// error in the caller; it is clamped to the current tick to keep the
+// PostAt fires h at absolute tick t. A nil h is ignored (callers chain
+// optional completion handlers). Posting in the past is an error in
+// the caller; it is clamped to the current tick to keep the
 // simulation monotonic.
-func (e *Engine) ScheduleAt(t Tick, fn func()) {
-	if fn == nil {
+func (e *Engine) PostAt(t Tick, h Handler) {
+	if h == nil {
 		return
 	}
 	if t < e.now {
 		t = e.now
 	}
 	e.seq++
-	e.events = append(e.events, event{when: t, seq: e.seq, fn: fn})
+	e.events = append(e.events, event{when: t, seq: e.seq, h: h})
 	e.siftUp(len(e.events) - 1)
+}
+
+// Schedule runs fn delay ticks from now; a nil fn is ignored.
+func (e *Engine) Schedule(delay Tick, fn func()) { e.Post(delay, Handle(fn)) }
+
+// Handle converts an optional callback to a Handler, mapping nil to a
+// nil Handler so "no callback" survives the conversion.
+func Handle(fn func()) Handler {
+	if fn == nil {
+		return nil
+	}
+	return Func(fn)
 }
 
 // siftUp restores the heap property after appending at index i.
@@ -100,13 +131,13 @@ func (e *Engine) siftUp(i int) {
 }
 
 // pop removes and returns the minimum event. The backing slice keeps
-// its capacity, and the vacated slot is cleared so the fired closure
+// its capacity, and the vacated slot is cleared so the fired handler
 // does not outlive its turn in the queue.
 func (e *Engine) pop() event {
 	root := e.events[0]
 	n := len(e.events) - 1
 	last := e.events[n]
-	e.events[n] = event{} // release the closure for GC
+	e.events[n] = event{} // release the handler for GC
 	e.events = e.events[:n]
 	if n > 0 {
 		e.siftDown(last)
@@ -151,7 +182,7 @@ func (e *Engine) Step() bool {
 	ev := e.pop()
 	e.now = ev.when
 	e.fired++
-	ev.fn()
+	ev.h.Fire()
 	return true
 }
 

@@ -85,11 +85,11 @@ func TestEngineRunUntil(t *testing.T) {
 func TestEngineScheduleAtPastClamps(t *testing.T) {
 	e := NewEngine()
 	e.Schedule(10, func() {
-		e.ScheduleAt(3, func() {
+		e.PostAt(3, Func(func() {
 			if e.Now() != 10 {
 				t.Errorf("past event fired at %d, want clamp to 10", e.Now())
 			}
-		})
+		}))
 	})
 	e.Run()
 }
@@ -167,6 +167,46 @@ func TestEngineSteadyStateAllocFree(t *testing.T) {
 	})
 	if allocs > 0 {
 		t.Errorf("steady-state schedule+run allocated %.1f allocs/run, want 0", allocs)
+	}
+}
+
+// counter is a typed handler, the shape of the pooled records the
+// model posts.
+type counter struct{ n int }
+
+func (c *counter) Fire() { c.n++ }
+
+// Posting typed handlers and stepping them must not allocate: it is
+// the engine half of the allocation-free memory path.
+func TestEnginePostStepAllocFree(t *testing.T) {
+	e := NewEngine()
+	hs := make([]counter, 64)
+	post := func() {
+		for i := range hs {
+			e.Post(Tick(i%8), &hs[i])
+		}
+		for e.Step() {
+		}
+	}
+	post() // warm the heap's backing slice
+	if allocs := testing.AllocsPerRun(1000, post); allocs != 0 {
+		t.Errorf("Post+Step allocated %.1f allocs/run, want 0", allocs)
+	}
+	if want := 64 * 1002; hs[0].n*64 != want {
+		t.Errorf("handler fired %d times, want %d", hs[0].n, want/64)
+	}
+}
+
+// A nil handler or callback posts nothing, so optional completions
+// never cost an event.
+func TestEngineNilHandlerIgnored(t *testing.T) {
+	e := NewEngine()
+	e.Post(1, nil)
+	e.Schedule(1, nil)
+	var h Handler = Handle(nil)
+	e.PostAt(2, h)
+	if e.Pending() != 0 {
+		t.Errorf("Pending() = %d after nil posts, want 0", e.Pending())
 	}
 }
 

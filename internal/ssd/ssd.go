@@ -32,6 +32,9 @@ type Module struct {
 
 	buf *pageBuffer
 
+	reqs    sim.FreeList[request]
+	flushes sim.FreeList[flush]
+
 	// Statistics.
 	BufHits, BufMisses stats.Counter
 	Flushes            stats.Counter
@@ -57,19 +60,73 @@ func New(eng *sim.Engine, ecfg config.SSDEngine, fcfg config.Flash, tcfg config.
 	return m
 }
 
+// request carries one GPU sector request through the module; it is
+// the event of each stage, and sensed (bound once per record) is the
+// flash read's completion callback.
+type request struct {
+	m      *Module
+	r      *mem.Request
+	stage  stage
+	page   uint64
+	ch     *noc.Bus // the sensed page's channel, fixed at sense time
+	sensed func()
+}
+
+type stage uint8
+
+const (
+	dispatched stage = iota // the dispatcher has queued the request
+	translated              // the engine firmware has run
+	moved                   // the sensed page crossed the channel
+)
+
 // Access services one GPU sector request: dispatcher queueing, engine
 // firmware time, then buffer hit or flash fill.
 func (m *Module) Access(r *mem.Request) {
-	m.dispatch.Acquire(m.cfg.DispatchLat, func() {
-		m.engine.Acquire(m.cfg.FTLLatPerReq, func() { m.afterEngine(r) })
-	})
+	q := m.reqs.Get()
+	if q.sensed == nil {
+		q.sensed = q.onSensed
+	}
+	q.m, q.r, q.stage = m, r, dispatched
+	m.dispatch.Acquire(m.cfg.DispatchLat, q)
 }
 
-func (m *Module) afterEngine(r *mem.Request) {
+// Fire advances the request past its current stage.
+func (q *request) Fire() {
+	m := q.m
+	switch q.stage {
+	case dispatched:
+		q.stage = translated
+		m.engine.Acquire(m.cfg.FTLLatPerReq, q)
+	case translated:
+		m.afterEngine(q)
+	case moved:
+		m.insert(q.page, false)
+		m.serve(q)
+	}
+}
+
+// onSensed moves the sensed page over the legacy channel bus.
+func (q *request) onSensed() {
+	q.stage = moved
+	q.ch.Send(q.m.BB.Cfg.PageBytes, q)
+}
+
+// serve moves the sector over the buffer bus, completing the request
+// on arrival, and recycles the record.
+func (m *Module) serve(q *request) {
+	r := q.r
+	q.r, q.ch = nil, nil
+	m.reqs.Put(q)
+	m.bufPort.Send(r.Size, r)
+}
+
+func (m *Module) afterEngine(q *request) {
+	r := q.r
 	page := mem.PageAddr(r.Addr, m.BB.Cfg.PageBytes)
 	if m.buf.touch(page, r.Write) {
 		m.BufHits.Inc()
-		m.bufPort.Send(r.Size, r.Complete)
+		m.serve(q)
 		return
 	}
 	m.BufMisses.Inc()
@@ -79,7 +136,7 @@ func (m *Module) afterEngine(r *mem.Request) {
 		// whole. (Flash pages are written as units; sub-page residue is
 		// folded into the flush.)
 		m.insert(page, true)
-		m.bufPort.Send(r.Size, r.Complete)
+		m.serve(q)
 		return
 	}
 
@@ -87,14 +144,24 @@ func (m *Module) afterEngine(r *mem.Request) {
 	// channel bus, install, then serve the sector from the buffer.
 	m.ReadFills.Inc()
 	loc := m.FTL.Lookup(page)
-	plane := m.BB.Plane(loc.Plane)
-	ch := m.channels[m.BB.ChannelOf(loc.Plane)]
-	plane.Read(loc.Block, loc.Page, func() {
-		ch.Send(m.BB.Cfg.PageBytes, func() {
-			m.insert(page, false)
-			m.bufPort.Send(r.Size, r.Complete)
-		})
-	})
+	q.page, q.ch = page, m.channels[m.BB.ChannelOf(loc.Plane)]
+	m.BB.Plane(loc.Plane).Read(loc.Block, loc.Page, q.sensed)
+}
+
+// flush is a dirty buffer page on its way back to flash.
+type flush struct {
+	m      *Module
+	victim uint64
+}
+
+// Fire runs once the engine has prepared the program.
+func (f *flush) Fire() {
+	m, victim := f.m, f.victim
+	m.flushes.Put(f)
+	m.FTL.WritePage(victim, nil)
+	// The channel transfer overlaps the program; charge its occupancy.
+	cur := m.FTL.Lookup(victim)
+	m.channels[m.BB.ChannelOf(cur.Plane)].Send(m.BB.Cfg.PageBytes, nil)
 }
 
 // insert adds a page to the buffer, flushing a dirty victim to flash.
@@ -106,12 +173,9 @@ func (m *Module) insert(page uint64, dirty bool) {
 	m.Flushes.Inc()
 	// Flush: engine prepares the program, channel moves the page, plane
 	// programs it.
-	m.engine.Acquire(m.cfg.FTLLatPerReq, func() {
-		m.FTL.WritePage(victim, nil)
-		// The channel transfer overlaps the program; charge its occupancy.
-		cur := m.FTL.Lookup(victim)
-		m.channels[m.BB.ChannelOf(cur.Plane)].Send(m.BB.Cfg.PageBytes, nil)
-	})
+	f := m.flushes.Get()
+	f.m, f.victim = m, victim
+	m.engine.Acquire(m.cfg.FTLLatPerReq, f)
 }
 
 // EngineBusyTicks reports cumulative firmware occupancy (Fig. 4d).

@@ -198,7 +198,7 @@ func (m *Module) ChannelBytes() uint64 {
 type pageBuffer struct {
 	cap     int
 	clock   uint64
-	entries map[uint64]*bufEntry
+	entries map[uint64]bufEntry // by value: an insert allocates nothing
 }
 
 type bufEntry struct {
@@ -210,7 +210,7 @@ func newPageBuffer(capacity int) *pageBuffer {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &pageBuffer{cap: capacity, entries: make(map[uint64]*bufEntry)}
+	return &pageBuffer{cap: capacity, entries: make(map[uint64]bufEntry)}
 }
 
 // touch reports a hit, refreshing LRU state and dirtying on writes.
@@ -224,6 +224,7 @@ func (b *pageBuffer) touch(page uint64, write bool) bool {
 	if write {
 		e.dirty = true
 	}
+	b.entries[page] = e
 	return true
 }
 
@@ -234,6 +235,7 @@ func (b *pageBuffer) insert(page uint64, dirty bool) (victim uint64, victimDirty
 	if e, ok := b.entries[page]; ok {
 		e.stamp = b.clock
 		e.dirty = e.dirty || dirty
+		b.entries[page] = e
 		return 0, false, false
 	}
 	if len(b.entries) >= b.cap {
@@ -248,7 +250,7 @@ func (b *pageBuffer) insert(page uint64, dirty bool) (victim uint64, victimDirty
 		delete(b.entries, victim)
 		evicted = true
 	}
-	b.entries[page] = &bufEntry{stamp: b.clock, dirty: dirty}
+	b.entries[page] = bufEntry{stamp: b.clock, dirty: dirty}
 	return victim, victimDirty, evicted
 }
 

@@ -50,9 +50,9 @@ type pkg struct {
 	id      int
 	cap     int
 	clock   uint64
-	entries map[uint64]*regEntry // vpage -> entry
-	owner   map[int][]uint64     // per-plane mode: plane -> resident vpages
-	local   *sim.Port            // NiF local network
+	entries map[uint64]regEntry // vpage -> entry
+	owner   map[int][]uint64    // per-plane mode: plane -> resident vpages
+	local   *sim.Port           // NiF local network
 	rr      int
 
 	window, misses int
@@ -117,7 +117,7 @@ func New(eng *sim.Engine, cfg config.RegCache, bb *flash.Backbone, split *ftl.Sp
 		c.pkgs = append(c.pkgs, &pkg{
 			id:      i,
 			cap:     capacity,
-			entries: make(map[uint64]*regEntry),
+			entries: make(map[uint64]regEntry),
 			owner:   make(map[int][]uint64),
 			local:   sim.NewPort(eng, config.GBpsToBytesPerTick(cfg.LocalNetGBps), cfg.BusLat),
 		})
@@ -171,14 +171,14 @@ func (c *Cache) Write(va uint64, h sim.Handler) {
 		// register and program it to the log immediately.
 		c.Allocs.Inc()
 		c.Evictions.Inc()
-		e := &regEntry{sectors: c.sectorBit(va), regPlane: target}
-		c.evict(p, vp, e, c.drained(h))
+		c.evict(p, vp, regEntry{sectors: c.sectorBit(va), regPlane: target}, c.drained(h))
 		return
 	}
 
 	if e, ok := p.entries[vp]; ok {
 		e.sectors |= c.sectorBit(va)
 		e.stamp = p.clock
+		p.entries[vp] = e
 		c.Hits.Inc()
 		c.endWindow(p)
 		c.eng.Post(c.cfg.BusLat, h)
@@ -209,7 +209,7 @@ func (c *Cache) Write(va uint64, h sim.Handler) {
 		} else {
 			c.eng.Post(c.cfg.BusLat, h)
 		}
-		p.entries[vp] = &regEntry{stamp: p.clock, sectors: c.sectorBit(va), regPlane: target}
+		p.entries[vp] = regEntry{stamp: p.clock, sectors: c.sectorBit(va), regPlane: target}
 		p.owner[target] = append(list, vp)
 		return
 	}
@@ -225,7 +225,7 @@ func (c *Cache) Write(va uint64, h sim.Handler) {
 	planesPerPkg := c.bb.Cfg.DiesPerPkg * c.bb.Cfg.PlanesPerDie
 	regPlane := p.id*planesPerPkg + p.rr%planesPerPkg
 	p.rr++
-	p.entries[vp] = &regEntry{stamp: p.clock, sectors: c.sectorBit(va), regPlane: regPlane}
+	p.entries[vp] = regEntry{stamp: p.clock, sectors: c.sectorBit(va), regPlane: regPlane}
 }
 
 // drained returns the callback of an eviction a store forced: the
@@ -235,9 +235,9 @@ func (c *Cache) drained(h sim.Handler) func() {
 	return func() { c.eng.Post(c.cfg.BusLat, h) }
 }
 
-func lruVictim(p *pkg) (uint64, *regEntry) {
+func lruVictim(p *pkg) (uint64, regEntry) {
 	var vp uint64
-	var e *regEntry
+	var e regEntry
 	oldest := ^uint64(0)
 	for k, v := range p.entries {
 		if v.stamp < oldest {
@@ -250,7 +250,7 @@ func lruVictim(p *pkg) (uint64, *regEntry) {
 
 // evict drains one register entry: pin to L2 under thrashing, or
 // read-modify-write + migrate + program.
-func (c *Cache) evict(p *pkg, vp uint64, e *regEntry, done func()) {
+func (c *Cache) evict(p *pkg, vp uint64, e regEntry, done func()) {
 	c.Evictions.Inc()
 	va := vp * uint64(c.bb.Cfg.PageBytes)
 

@@ -281,3 +281,59 @@ func TestProgramsReducedVsWrites(t *testing.T) {
 		t.Errorf("programs = %d for %d writes; register cache not absorbing", progs, writes)
 	}
 }
+
+// A grouped-mode hit updates its entry in place and posts one
+// acknowledgement: no allocation once the engine's node pool exists.
+func TestGroupedHitAllocFree(t *testing.T) {
+	eng, c, _, _ := testRig(Options{}, 8)
+	done := 0
+	ack := sim.Func(func() { done++ })
+	c.Write(0, ack) // allocate the entry
+	eng.Run()
+	allocs := testing.AllocsPerRun(1000, func() {
+		c.Write(SectorBytes, ack)
+		eng.Run()
+	})
+	if allocs != 0 {
+		t.Errorf("grouped-mode write hit allocated %.1f allocs/run, want 0", allocs)
+	}
+	if c.Allocs.Value() != 1 || done != 1002 {
+		t.Errorf("allocs/acks = %d/%d, want 1/1002", c.Allocs.Value(), done)
+	}
+	if !c.ReadCheck(SectorBytes) {
+		t.Error("a sector written by a hit must be readable from the register")
+	}
+}
+
+func BenchmarkRegcacheWrite(b *testing.B) {
+	b.Run("hit", func(b *testing.B) {
+		eng, c, _, _ := testRig(Options{}, 8)
+		c.Write(0, nil)
+		eng.Run()
+		b.ReportAllocs()
+		for i := 0; b.Loop(); i++ {
+			c.Write(uint64(i%4)*SectorBytes, nil)
+			eng.Run()
+		}
+	})
+	// Every write allocates a register for a new page. The registers
+	// are emptied before they could fill, so no write evicts.
+	b.Run("miss", func(b *testing.B) {
+		eng, c, bb, _ := testRig(Options{}, 64)
+		capacity := bb.Cfg.DiesPerPkg * bb.Cfg.PlanesPerDie * bb.Cfg.RegsPerPlane
+		page := uint64(bb.Cfg.PageBytes)
+		b.ReportAllocs()
+		for i := 0; b.Loop(); i++ {
+			if i%capacity == 0 {
+				for _, p := range c.pkgs {
+					clear(p.entries)
+				}
+			}
+			c.Write(uint64(i%capacity)*page, nil)
+			eng.Run()
+		}
+		if c.Evictions.Value() != 0 {
+			b.Fatalf("evictions = %d, want 0", c.Evictions.Value())
+		}
+	})
+}

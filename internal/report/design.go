@@ -19,12 +19,21 @@ Everything runs on one discrete-event kernel: an event queue ordered
 by tick, bandwidth-limited ` + "`Port`" + `s, occupancy-limited ` + "`Resource`" + `s and
 worker ` + "`Pool`" + `s. One tick is one GPU core cycle (1.2 GHz per Table I,
 0.8333 ns); ` + "`internal/config`" + ` converts nanosecond device parameters to
-ticks. The queue is a monomorphic 4-ary min-heap of 32-byte events
-(tick, sequence number, typed ` + "`Handler`" + `) whose backing slice is
-reused, and same-tick events fire FIFO, a contract the tests pin
-because determinism is load-bearing: a simulation is a pure function
-of its inputs, which is what lets ` + "`internal/experiments`" + ` memoize
-whole runs (see below).
+ticks. Almost every event is due within a few hundred ticks (half
+of all posts are for the next tick), so the queue is a timing wheel:
+4096 one-tick slots, each a FIFO of nodes linked by index through a
+pool the engine owns, and a bitmap of non-empty slots that finds the
+next tick by counting trailing zeros. Posting and firing such an
+event is constant time and allocates nothing once the pool has grown
+to the peak pending count. Events due 4096 or more ticks ahead (flash
+programs, erases, page faults) wait in a 4-ary min-heap ordered by
+(tick, sequence number) and move into their slots, in heap order,
+as soon as the clock brings them within reach and before anything
+runs at the new time. Events therefore fire in exactly (tick,
+schedule order), so same-tick events fire FIFO, a contract the tests
+pin against a reference queue because determinism is load-bearing: a
+simulation is a pure function of its inputs, which is what lets
+` + "`internal/experiments`" + ` memoize whole runs (see below).
 
 The simulated memory path allocates nothing per access. A handler is
 a component's own pooled record, such as a cache lookup, an MSHR

@@ -12,6 +12,8 @@
 // reproducible.
 package sim
 
+import "math/bits"
+
 // Tick is simulated time measured in GPU core cycles.
 type Tick int64
 
@@ -29,8 +31,29 @@ type Func func()
 // Fire implements Handler.
 func (f Func) Fire() { f() }
 
-// event is 32 bytes: the handler is the record itself, with no
-// separate argument word, which keeps siftDown's moves cheap.
+// wheelSize one-tick slots cover the cache, bus, DRAM and
+// flash-register latencies that make up almost every event, while the
+// rarer flash programs, erases and page faults wait in the overflow
+// heap. Narrower wheels push measurably more events through the heap;
+// wider ones only cost memory.
+const (
+	wheelSize  = 1 << 12
+	wheelMask  = wheelSize - 1
+	wheelWords = wheelSize / 64
+)
+
+// node is one wheel entry: the handler and the pool index of the next
+// entry in its slot's FIFO. Index 0 is the nil link, so a zero slot is
+// an empty one.
+type node struct {
+	h    Handler
+	next int32
+}
+
+// slot is a FIFO of nodes linked through the engine's node pool.
+type slot struct{ head, tail int32 }
+
+// event is an overflow-heap entry, ordered by (when, seq).
 type event struct {
 	when Tick
 	seq  uint64
@@ -48,23 +71,36 @@ func (a event) before(b event) bool {
 
 // Engine is a discrete-event simulator. The zero value is ready to use.
 //
-// The event queue is a hand-rolled 4-ary min-heap rather than
-// container/heap: the interface-based heap boxes every pushed event
-// into an `any` (one allocation per push) and dispatches every
-// comparison through an interface call. A simulation fires hundreds of
-// millions of events, so the queue is the hottest structure in the
-// whole model; the monomorphic heap pushes and pops with zero
-// allocations on the steady state (the backing slice is retained
-// across pushes) and a 4-ary layout halves tree depth, trading a few
-// extra comparisons per level for far fewer cache-missing swaps.
+// Almost every event a simulation posts is due within a few hundred
+// ticks (a warp step, a bank slot, a bus hop), so the primary queue is
+// a timing wheel: one slot per tick for the wheelSize ticks from now
+// on, each slot a FIFO of nodes drawn from a pool the engine owns, and
+// a bitmap of non-empty slots that finds the next tick with a few
+// trailing-zero counts. Posting and firing such an event is constant
+// time and allocates nothing once the pool has grown to the peak
+// number of pending events.
+//
+// Events due wheelSize or more ticks ahead wait in a 4-ary min-heap
+// ordered by (when, seq). Whenever the clock advances, every heap
+// event that has come within the wheel's reach moves into its slot
+// before any handler runs at the new time. No direct post can have
+// reached those slots yet, so each slot's FIFO holds its events in
+// schedule order, and events fire in exactly (tick, schedule order).
 //
 // Events carry a typed Handler. Post with a pooled record allocates
 // nothing; Schedule with a closure costs only the closure.
 type Engine struct {
-	now    Tick
-	seq    uint64
-	events []event // 4-ary min-heap ordered by event.before
-	fired  uint64
+	now   Tick
+	seq   uint64
+	fired uint64
+
+	queued   int                // events in the wheel
+	slots    [wheelSize]slot    // slot t&wheelMask holds tick t's events
+	occupied [wheelWords]uint64 // bit i set when slots[i] is non-empty
+	nodes    []node             // node pool; nodes[0] is the nil link
+	free     int32              // head of the pool's free list
+
+	overflow []event // 4-ary min-heap of events beyond the wheel
 }
 
 // NewEngine returns an empty engine at tick zero.
@@ -77,7 +113,7 @@ func (e *Engine) Now() Tick { return e.now }
 func (e *Engine) Fired() uint64 { return e.fired }
 
 // Pending reports how many events are waiting to fire.
-func (e *Engine) Pending() int { return len(e.events) }
+func (e *Engine) Pending() int { return e.queued + len(e.overflow) }
 
 // Post fires h delay ticks from now. A negative delay is treated as
 // zero (fires later in the current tick, preserving order).
@@ -100,8 +136,12 @@ func (e *Engine) PostAt(t Tick, h Handler) {
 		t = e.now
 	}
 	e.seq++
-	e.events = append(e.events, event{when: t, seq: e.seq, h: h})
-	e.siftUp(len(e.events) - 1)
+	if t-e.now < wheelSize {
+		e.enqueue(t, h)
+		return
+	}
+	e.overflow = append(e.overflow, event{when: t, seq: e.seq, h: h})
+	e.siftUp(len(e.overflow) - 1)
 }
 
 // Schedule runs fn delay ticks from now; a nil fn is ignored.
@@ -116,29 +156,118 @@ func Handle(fn func()) Handler {
 	return Func(fn)
 }
 
-// siftUp restores the heap property after appending at index i.
-func (e *Engine) siftUp(i int) {
-	ev := e.events[i]
-	for i > 0 {
-		parent := (i - 1) / 4
-		if !ev.before(e.events[parent]) {
-			break
+// enqueue appends h to the FIFO of tick t's slot, taking a node from
+// the free list or growing the pool. t must lie within the wheel.
+func (e *Engine) enqueue(t Tick, h Handler) {
+	k := e.free
+	if k != 0 {
+		e.free = e.nodes[k].next
+		e.nodes[k] = node{h: h}
+	} else {
+		if len(e.nodes) == 0 {
+			e.nodes = append(e.nodes, node{}) // the nil link
 		}
-		e.events[i] = e.events[parent]
-		i = parent
+		k = int32(len(e.nodes))
+		e.nodes = append(e.nodes, node{h: h})
 	}
-	e.events[i] = ev
+	i := int(t & wheelMask)
+	s := &e.slots[i]
+	if s.tail == 0 {
+		s.head = k
+		e.occupied[i>>6] |= 1 << (i & 63)
+	} else {
+		e.nodes[s.tail].next = k
+	}
+	s.tail = k
+	e.queued++
 }
 
-// pop removes and returns the minimum event. The backing slice keeps
-// its capacity, and the vacated slot is cleared so the fired handler
-// does not outlive its turn in the queue.
+// dequeue removes and returns the first handler of tick t's slot,
+// which must be non-empty, and returns its node to the free list.
+func (e *Engine) dequeue(t Tick) Handler {
+	i := int(t & wheelMask)
+	s := &e.slots[i]
+	k := s.head
+	n := &e.nodes[k]
+	h := n.h
+	s.head = n.next
+	if s.head == 0 {
+		s.tail = 0
+		e.occupied[i>>6] &^= 1 << (i & 63)
+	}
+	n.h = nil // release the handler for GC
+	n.next = e.free
+	e.free = k
+	e.queued--
+	return h
+}
+
+// nextQueued returns the tick of the earliest event in the wheel,
+// which must be non-empty: the first occupied slot at or after now's,
+// wrapping once around the wheel.
+func (e *Engine) nextQueued() Tick {
+	start := int(e.now & wheelMask)
+	w := start >> 6
+	if word := e.occupied[w] >> (start & 63); word != 0 {
+		return e.now + Tick(bits.TrailingZeros64(word))
+	}
+	for n := 1; n <= wheelWords; n++ {
+		i := (w + n) % wheelWords
+		if word := e.occupied[i]; word != 0 {
+			slot := i<<6 + bits.TrailingZeros64(word)
+			return e.now + Tick((slot-start)&wheelMask)
+		}
+	}
+	panic("sim: wheel count and bitmap disagree")
+}
+
+// next reports the tick of the earliest pending event. Every overflow
+// event lies beyond every wheel event, so the heap is consulted only
+// when the wheel is empty.
+func (e *Engine) next() (Tick, bool) {
+	if e.queued > 0 {
+		return e.nextQueued(), true
+	}
+	if len(e.overflow) > 0 {
+		return e.overflow[0].when, true
+	}
+	return 0, false
+}
+
+// advance moves the clock to t and migrates every overflow event that
+// has come within the wheel's reach into its slot. The heap yields
+// them in (when, seq) order, ahead of any direct post to those slots.
+func (e *Engine) advance(t Tick) {
+	e.now = t
+	for len(e.overflow) > 0 && e.overflow[0].when-t < wheelSize {
+		ev := e.pop()
+		e.enqueue(ev.when, ev.h)
+	}
+}
+
+// siftUp restores the heap property after appending at index i.
+func (e *Engine) siftUp(i int) {
+	ev := e.overflow[i]
+	for i > 0 {
+		parent := (i - 1) / 4
+		if !ev.before(e.overflow[parent]) {
+			break
+		}
+		e.overflow[i] = e.overflow[parent]
+		i = parent
+	}
+	e.overflow[i] = ev
+}
+
+// pop removes and returns the minimum overflow event. The backing
+// slice keeps its capacity, and the vacated slot is cleared so the
+// handler does not outlive its turn in the queue.
 func (e *Engine) pop() event {
-	root := e.events[0]
-	n := len(e.events) - 1
-	last := e.events[n]
-	e.events[n] = event{} // release the handler for GC
-	e.events = e.events[:n]
+	root := e.overflow[0]
+	n := len(e.overflow) - 1
+	last := e.overflow[n]
+	e.overflow[n] = event{} // release the handler for GC
+	e.overflow = e.overflow[:n]
 	if n > 0 {
 		e.siftDown(last)
 	}
@@ -148,7 +277,7 @@ func (e *Engine) pop() event {
 // siftDown places ev (the displaced last element) starting from the
 // root, walking toward the smaller of up to four children.
 func (e *Engine) siftDown(ev event) {
-	i, n := 0, len(e.events)
+	i, n := 0, len(e.overflow)
 	for {
 		first := 4*i + 1
 		if first >= n {
@@ -160,30 +289,38 @@ func (e *Engine) siftDown(ev event) {
 			end = n
 		}
 		for c := first + 1; c < end; c++ {
-			if e.events[c].before(e.events[min]) {
+			if e.overflow[c].before(e.overflow[min]) {
 				min = c
 			}
 		}
-		if !e.events[min].before(ev) {
+		if !e.overflow[min].before(ev) {
 			break
 		}
-		e.events[i] = e.events[min]
+		e.overflow[i] = e.overflow[min]
 		i = min
 	}
-	e.events[i] = ev
+	e.overflow[i] = ev
+}
+
+// fire advances the clock to t, the earliest pending tick, and fires
+// the first event due then.
+func (e *Engine) fire(t Tick) {
+	if t != e.now {
+		e.advance(t)
+	}
+	h := e.dequeue(t)
+	e.fired++
+	h.Fire()
 }
 
 // Step fires the next event, advancing time to it. It reports whether
 // an event was available.
 func (e *Engine) Step() bool {
-	if len(e.events) == 0 {
-		return false
+	t, ok := e.next()
+	if ok {
+		e.fire(t)
 	}
-	ev := e.pop()
-	e.now = ev.when
-	e.fired++
-	ev.h.Fire()
-	return true
+	return ok
 }
 
 // Run fires events until none remain.
@@ -195,11 +332,15 @@ func (e *Engine) Run() {
 // RunUntil fires events with timestamps <= t, then sets the clock to t.
 // Events scheduled beyond t remain pending.
 func (e *Engine) RunUntil(t Tick) {
-	for len(e.events) > 0 && e.events[0].when <= t {
-		e.Step()
+	for {
+		next, ok := e.next()
+		if !ok || next > t {
+			break
+		}
+		e.fire(next)
 	}
 	if e.now < t {
-		e.now = t
+		e.advance(t)
 	}
 }
 

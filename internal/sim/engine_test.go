@@ -118,8 +118,8 @@ func TestEngineMonotonicProperty(t *testing.T) {
 }
 
 // Property: same-tick events fire FIFO even under random interleaving.
-// This pins the ordering contract of the 4-ary heap: within one tick,
-// events fire in exactly the order they were scheduled.
+// This pins the engine's ordering contract: within one tick, events
+// fire in exactly the order they were scheduled.
 func TestEngineSameTickFIFO(t *testing.T) {
 	r := rng.New(1)
 	e := NewEngine()
@@ -148,13 +148,13 @@ func TestEngineSameTickFIFO(t *testing.T) {
 	}
 }
 
-// The steady state — pushes into a slice that already has capacity,
-// pops that shrink it back — must not allocate: event dispatch is the
-// hottest loop in the whole simulator.
+// The steady state — nodes taken from and returned to the engine's
+// pool — must not allocate: event dispatch is the hottest loop in the
+// whole simulator.
 func TestEngineSteadyStateAllocFree(t *testing.T) {
 	e := NewEngine()
 	nop := func() {}
-	// Warm the heap's backing slice to its high-water mark.
+	// Grow the node pool to its high-water mark.
 	for i := 0; i < 64; i++ {
 		e.Schedule(Tick(i%8), nop)
 	}
@@ -188,12 +188,42 @@ func TestEnginePostStepAllocFree(t *testing.T) {
 		for e.Step() {
 		}
 	}
-	post() // warm the heap's backing slice
+	post() // grow the node pool
 	if allocs := testing.AllocsPerRun(1000, post); allocs != 0 {
 		t.Errorf("Post+Step allocated %.1f allocs/run, want 0", allocs)
 	}
 	if want := 64 * 1002; hs[0].n*64 != want {
 		t.Errorf("handler fired %d times, want %d", hs[0].n, want/64)
+	}
+}
+
+// Delays on both sides of the wheel's reach: every run sends events
+// through the overflow heap and migrates them back into slots, and
+// because each run advances the clock by a span that is not a multiple
+// of the wheel, a thousand runs rotate time through every slot. Once
+// the node pool and the heap's backing slice have grown, none of it
+// allocates.
+func TestEngineWheelAndOverflowAllocFree(t *testing.T) {
+	e := NewEngine()
+	delays := []Tick{0, 1, 2, 31, 300, wheelSize - 1, wheelSize, wheelSize + 1, 3*wheelSize + 17, 10 * wheelSize}
+	hs := make([]counter, 4*len(delays))
+	post := func() {
+		for i := range hs {
+			e.Post(delays[i%len(delays)], &hs[i])
+		}
+		for e.Step() {
+		}
+	}
+	post()
+	start := e.Now()
+	if allocs := testing.AllocsPerRun(1000, post); allocs != 0 {
+		t.Errorf("Post+Step across the wheel boundary allocated %.1f allocs/run, want 0", allocs)
+	}
+	if span := e.Now() - start; span < wheelSize {
+		t.Errorf("clock advanced %d ticks, want at least one rotation (%d)", span, wheelSize)
+	}
+	if e.Pending() != 0 {
+		t.Errorf("Pending() = %d after draining, want 0", e.Pending())
 	}
 }
 
@@ -221,4 +251,57 @@ func BenchmarkEngineScheduleRun(b *testing.B) {
 		}
 	}
 	e.Run()
+}
+
+// postStepMix is the delay mix measured on the Fig. 10 cells: about
+// 55% next tick, 25% short pipeline latencies, 12% DRAM- and bus-scale
+// waits, and a few percent beyond the wheel (flash programs) and far
+// beyond it (erases, page faults).
+var postStepMix = func() []Tick {
+	r := rng.New(7)
+	mix := make([]Tick, 0, 1024)
+	for len(mix) < cap(mix) {
+		switch p := r.Intn(100); {
+		case p < 55:
+			mix = append(mix, 1)
+		case p < 80:
+			mix = append(mix, Tick(2+r.Intn(30)))
+		case p < 92:
+			mix = append(mix, Tick(256+r.Intn(256)))
+		case p < 97:
+			mix = append(mix, Tick(4096+r.Intn(12288)))
+		default:
+			mix = append(mix, Tick(1<<20+r.Intn(1<<20)))
+		}
+	}
+	return mix
+}()
+
+// token re-posts itself on every firing with the next delay of the
+// mix, so a fixed population of tokens keeps the engine at a steady
+// pending count.
+type token struct {
+	e *Engine
+	i int
+}
+
+func (t *token) Fire() {
+	t.i++
+	t.e.Post(postStepMix[t.i%len(postStepMix)], t)
+}
+
+// BenchmarkEnginePostStep measures one Step (and the Post its handler
+// makes) with about 700 events pending, the average the figure cells
+// keep in flight.
+func BenchmarkEnginePostStep(b *testing.B) {
+	e := NewEngine()
+	tokens := make([]token, 700)
+	for i := range tokens {
+		tokens[i] = token{e: e, i: i * 7}
+		e.Post(postStepMix[i], &tokens[i])
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		e.Step()
+	}
 }

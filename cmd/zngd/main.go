@@ -13,8 +13,8 @@
 // Endpoints (JSON):
 //
 //	POST /v1/run             {"platform":"ZnG","mix":"betw-back","scale":0.12}
-//	GET  /v1/jobs            job list
-//	GET  /v1/jobs/{id}       job status
+//	GET  /v1/jobs            in-flight job list
+//	GET  /v1/jobs/{id}       job status by cell content address
 //	POST /v1/campaigns       start a declarative sweep (internal/campaign Spec)
 //	GET  /v1/campaigns       campaign list with live progress
 //	GET  /v1/campaigns/{id}  campaign progress + result matrix once done
@@ -28,7 +28,7 @@
 //	GET  /v1/trace/stats     per-stage latency breakdown
 //	GET  /v1/trace/{id}      one trace's full span tree
 //	GET  /healthz            liveness
-//	GET  /metrics            counters (sims, memory/disk hits, coalesced, jobs, evictions, rejections, tier gauges, latency quantiles); ?format=prom for Prometheus text
+//	GET  /metrics            counters (sims, memory/disk hits, coalesced, in-flight jobs, rejections, tier gauges, latency quantiles); ?format=prom for Prometheus text
 //
 // Observability: requests carrying an X-Zng-Trace header join the
 // caller's distributed trace; direct runs are sampled 1-in
@@ -39,17 +39,15 @@
 //
 // Serving is tiered: -mem-cache sizes an in-memory LRU of decoded
 // result documents fronting the store, so the hot working set skips
-// the disk read+decode entirely (0 disables it). Admission is
+// the disk read+decode entirely. It is the only place completed
+// cells live in memory: the job table holds in-flight cells alone, a
+// job id is its cell's content address, and polling a completed id
+// resolves from the memory tier, then the store. Admission is
 // bounded: past -max-queue pending simulations, new work is refused
 // with 429 Too Many Requests and a Retry-After estimate, so overload
-// sheds instead of queueing without limit.
-//
-// Job history is bounded: past -max-jobs completed jobs, the oldest
-// persisted (or failed) jobs are evicted from memory and their cells
-// re-serve from the store (through the memory tier). On
-// SIGINT/SIGTERM the daemon stops accepting connections, lets
-// in-flight requests (and their simulations) drain, then closes the
-// service.
+// sheds instead of queueing without limit. On SIGINT/SIGTERM the
+// daemon stops accepting connections, lets in-flight requests (and
+// their simulations) drain, then closes the service.
 //
 // Fleet: every zngd is a coordinator — workers join it with POST
 // /v1/fleet/register and heartbeats, campaigns POSTed to it fan out
@@ -86,8 +84,7 @@ func main() {
 		addr     = flag.String("addr", "127.0.0.1:8080", "listen address (port 0 picks a random free port)")
 		cacheDir = flag.String("cache", "", "persistent result store directory (empty: memory-only)")
 		workers  = flag.Int("workers", 0, "concurrent simulations (0 = NumCPU)")
-		maxJobs  = flag.Int("max-jobs", 4096, "retained completed jobs before eviction (0 = unbounded)")
-		memCache = flag.Int("mem-cache", 4096, "in-memory result-tier entries fronting the store (0 = no memory tier)")
+		memCache = flag.Int("mem-cache", simsvc.DefaultCacheEntries, "in-memory result-tier entries fronting the store (at least 1)")
 		maxQueue = flag.Int("max-queue", 1024, "pending simulations before admission returns 429 (0 = unbounded)")
 		addrFile = flag.String("addr-file", "", "write the actual listen address to this file once bound")
 		drain    = flag.Duration("drain", 5*time.Minute, "graceful-shutdown drain budget for in-flight simulations")
@@ -102,6 +99,11 @@ func main() {
 		traceSample = flag.Int("trace-sample", 64, "trace 1 in N direct /v1/run requests (campaigns and propagated traces are always recorded)")
 	)
 	flag.Parse()
+	if *memCache < 1 {
+		fmt.Fprintf(os.Stderr, "zngd: -mem-cache must be at least 1, got %d\n", *memCache)
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	levels, err := obs.ParseLevels(*logLevel)
 	if err != nil {
@@ -123,7 +125,6 @@ func main() {
 	svc := simsvc.New(simsvc.Config{
 		Store:        st,
 		Workers:      *workers,
-		MaxJobs:      *maxJobs,
 		CacheEntries: *memCache,
 		MaxQueue:     *maxQueue,
 		Tracer:       tracer,
@@ -152,10 +153,6 @@ func main() {
 	cache := "memory-only"
 	if st != nil {
 		cache = st.Dir()
-	} else if *maxJobs > 0 {
-		// Without a store, completed results have nowhere to be
-		// re-served from, so retention only ever evicts failed jobs.
-		log.Warn("no -cache: -max-jobs bounds failed jobs only; completed results are retained for the process lifetime")
 	}
 	log.Info("listening", "addr", "http://"+bound, "cache", cache)
 

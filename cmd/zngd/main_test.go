@@ -70,17 +70,20 @@ func TestGracefulDrainUnderLoad(t *testing.T) {
 		}()
 	}
 
-	// Signal only once every request is admitted (visible as a job), so
-	// none race the listener closing.
+	// Signal only once every request is admitted — in flight as a
+	// queued or running job, or already simulated — so none race the
+	// listener closing.
 	admitted := false
 	for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); {
 		var m struct {
-			JobsTotal int `json:"jobs_total"`
+			Sims        int `json:"sims"`
+			JobsQueued  int `json:"jobs_queued"`
+			JobsRunning int `json:"jobs_running"`
 		}
 		if resp, err := http.Get("http://" + addr + "/metrics"); err == nil {
 			err = json.NewDecoder(resp.Body).Decode(&m)
 			resp.Body.Close()
-			if err == nil && m.JobsTotal >= inflight {
+			if err == nil && m.Sims+m.JobsQueued+m.JobsRunning >= inflight {
 				admitted = true
 				break
 			}

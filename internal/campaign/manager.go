@@ -45,8 +45,8 @@ func (c *Campaign) Trace() obs.ID { return c.run.Trace() }
 // DefaultMaxCampaigns bounds the finished campaigns a Manager
 // retains. A finished campaign's Outcome carries every cell's result
 // plus a full config per cell, so unbounded retention would grow a
-// long-lived daemon's heap the same way unbounded job history did
-// before MaxJobs eviction; evicted campaign ids read as unknown, and
+// long-lived daemon's heap without limit; evicted campaign ids read as
+// unknown, and
 // their per-cell results remain wherever the runner put them (for
 // zngd, the store).
 const DefaultMaxCampaigns = 64

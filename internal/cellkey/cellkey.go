@@ -58,3 +58,20 @@ func Key(kind platform.Kind, mixID string, scale float64, cfg config.Config) str
 	}
 	return hex.EncodeToString(h.Sum(nil))
 }
+
+// Valid reports whether s is spelled like a content address: 64
+// lowercase hex digits, the shape Key (and every other hex SHA-256 id
+// in the repository) produces. Layers that turn a caller-supplied id
+// into a file path check it first, so an id like "../../x" is unknown
+// before any disk access.
+func Valid(s string) bool {
+	if len(s) != 2*sha256.Size {
+		return false
+	}
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; (c < '0' || c > '9') && (c < 'a' || c > 'f') {
+			return false
+		}
+	}
+	return true
+}

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"zng/internal/campaign"
+	"zng/internal/cellkey"
 	"zng/internal/config"
 	"zng/internal/obs"
 	"zng/internal/platform"
@@ -119,11 +120,16 @@ func (c *Checkpointer) WriteSpec(id string, spec campaign.Spec) error {
 }
 
 // LoadSpec reads a checkpointed campaign's spec back. Unknown ids —
-// including a nil checkpointer — fail with os.ErrNotExist wrapped in
-// the message.
+// including a nil checkpointer, and any id not spelled like a content
+// address (64 lowercase hex digits; the HTTP router unescapes %2F, so
+// "../../x" can arrive here) — fail with os.ErrNotExist wrapped in the
+// message, the malformed ones before any disk access.
 func (c *Checkpointer) LoadSpec(id string) (campaign.Spec, error) {
 	if c == nil {
 		return campaign.Spec{}, fmt.Errorf("fleet: no checkpoint store: campaign %q: %w", id, os.ErrNotExist)
+	}
+	if !cellkey.Valid(id) {
+		return campaign.Spec{}, fmt.Errorf("fleet: malformed campaign id %q: %w", id, os.ErrNotExist)
 	}
 	b, err := os.ReadFile(filepath.Join(c.dir(id), "spec.json"))
 	if err != nil {

@@ -180,8 +180,11 @@ func (c *Client) run(sc obs.SpanContext, kind platform.Kind, mix workload.Mix, s
 		}
 		switch {
 		case resp.StatusCode != http.StatusOK:
-			// Includes an evicted job id (404): the cell's outcome is
-			// no longer observable here, so let the dispatcher re-route.
+			// Includes 404: a job id is its cell's content address, so
+			// it is unknown only when no layer holds the cell any more — a
+			// failed cell whose cached failure the peer's tier evicted,
+			// or a job the peer's shutdown dropped. Either way let the
+			// dispatcher re-route.
 			return platform.Result{}, nil, &PeerError{Peer: c.base, Err: fmt.Errorf("poll status %d: %s", resp.StatusCode, errText(env))}
 		case env.Job.State == "error":
 			// The peer ran the cell and the simulation itself failed —

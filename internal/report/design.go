@@ -143,15 +143,18 @@ entry reads as a miss that re-simulation heals. ` + "`internal/simsvc`" + `
 fronts the store with a job scheduler: a bounded worker pool drains a
 FIFO-with-priority queue, concurrent requests for the same cell
 coalesce onto one in-flight job, and every request resolves through
-memory, then disk, then simulation — with counters (sims, memory
-hits, disk hits, coalesced waiters) at each step. The service
+the in-flight table, then memory, then disk, then simulation — with
+counters (sims, memory hits, disk hits, coalesced waiters) at each
+step. The service
 implements the experiments ` + "`Runner`" + ` interface, so the figure drivers,
 ` + "`zngsim -cache`" + `/` + "`zngfig -cache`" + ` and ` + "`cmd/zngd`" + ` — the HTTP JSON
 daemon exposing run/jobs/campaigns/scenarios/platforms/healthz/metrics
 endpoints with graceful drain on shutdown — all serve simulations
-through one code path. The daemon's job history is bounded: past the
-retention limit the oldest persisted (or failed) jobs are evicted and
-their cells re-serve from disk.
+through one code path. Completed cells live in one layer only: the
+job table holds in-flight cells, a worker publishes each outcome to
+the result tier before it removes the job, and a job id is the cell's
+content address, so polling a completed cell resolves from the tier or
+the store and never depends on how long the service keeps a job.
 
 The serving hot path is tiered the way FlashGraph/FlashX front
 SSD-resident data with a page cache: ` + "`internal/restier`" + ` keeps a

@@ -57,9 +57,9 @@ func BenchmarkTieredLookup(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		// Capacity 0: no memory tier, every hit pays the store read —
-		// the pre-tier serving path.
-		tiered := NewTiered(0, st)
+		// A 1-entry memory tier over a 64-key cycle: every lookup misses
+		// memory and pays the store read (plus the promotion).
+		tiered := NewTiered(1, st)
 		keys := make([]string, cells)
 		for i := range keys {
 			keys[i] = fmt.Sprintf("cell-%d", i)

@@ -251,23 +251,19 @@ func (t Tier) String() string {
 	return "none"
 }
 
-// Tiered composes the memory tier over the persistent store. Either
-// layer may be absent (a nil-cache Tiered is disk-only; a nil-store
-// Tiered is memory-only), so the serving layer configures tiers
-// without branching at every lookup.
+// Tiered composes the memory tier over the persistent store. The
+// memory tier is always present; the store may be absent (a nil-store
+// Tiered is memory-only).
 type Tiered struct {
-	cache *Cache       // nil: no memory tier
+	cache *Cache
 	st    *store.Store // nil: no disk tier
 }
 
 // NewTiered builds the tier stack: a memory LRU of capacity entries
-// (0 disables the memory tier) over st (nil disables the disk tier).
+// (which must be positive, as for NewCache) over st (nil disables the
+// disk tier).
 func NewTiered(capacity int, st *store.Store) *Tiered {
-	t := &Tiered{st: st}
-	if capacity > 0 {
-		t.cache = NewCache(capacity)
-	}
-	return t
+	return &Tiered{cache: NewCache(capacity), st: st}
 }
 
 // Get resolves key memory-first, then disk. A disk hit is promoted
@@ -282,9 +278,7 @@ func (t *Tiered) Get(key string) (platform.Result, error, Tier) {
 	}
 	if t.st != nil {
 		if r, ok := t.st.Get(key); ok {
-			if t.cache != nil {
-				t.cache.Put(key, r)
-			}
+			t.cache.Put(key, r)
 			return r, nil, TierDisk
 		}
 	}
@@ -295,46 +289,28 @@ func (t *Tiered) Get(key string) (platform.Result, error, Tier) {
 // admission path uses (a disk read must never run under the service
 // lock).
 func (t *Tiered) GetMem(key string) (platform.Result, error, bool) {
-	if t.cache == nil {
-		return platform.Result{}, nil, false
-	}
 	return t.cache.Get(key)
 }
 
-// Put writes key through every present tier and reports whether the
-// disk tier has it (false with no store, or when the store write
-// failed — the memory tier still serves the entry either way, it just
-// cannot outlive the process).
-func (t *Tiered) Put(key string, res platform.Result) bool {
-	persisted := false
+// Put writes key through the store (when present), then the memory
+// tier. A failed store write only costs durability: the memory tier
+// still serves the entry until the process exits or the LRU evicts
+// it, after which the cell re-simulates.
+func (t *Tiered) Put(key string, res platform.Result) {
 	if t.st != nil {
-		persisted = t.st.Put(key, res) == nil
+		_ = t.st.Put(key, res)
 	}
-	if t.cache != nil {
-		t.cache.Put(key, res)
-	}
-	return persisted
+	t.cache.Put(key, res)
 }
 
-// PutNegative caches a deterministic failure in the memory tier (a
-// no-op without one). Negatives never reach the disk store: an error
+// PutNegative caches a deterministic failure in the memory tier.
+// Negatives never reach the disk store: an error
 // string is cheap to recompute relative to a simulation and must not
 // pollute the content-addressed result layout, so a restart simply
 // rediscovers the failure once.
 func (t *Tiered) PutNegative(key, msg string) {
-	if t.cache != nil {
-		t.cache.PutNegative(key, msg)
-	}
+	t.cache.PutNegative(key, msg)
 }
 
-// Store exposes the disk tier (nil when memory-only).
-func (t *Tiered) Store() *store.Store { return t.st }
-
-// CacheStats snapshots the memory tier's counters (zero-valued with
-// no memory tier, so /metrics can always publish the gauges).
-func (t *Tiered) CacheStats() CacheStats {
-	if t.cache == nil {
-		return CacheStats{}
-	}
-	return t.cache.Stats()
-}
+// CacheStats snapshots the memory tier's counters.
+func (t *Tiered) CacheStats() CacheStats { return t.cache.Stats() }

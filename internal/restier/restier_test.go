@@ -250,9 +250,7 @@ func TestTieredResolution(t *testing.T) {
 	}
 
 	// Put writes through both tiers: resident in memory and on disk.
-	if !tiered.Put("fresh", res(9)) {
-		t.Fatal("Put with a store reported not persisted")
-	}
+	tiered.Put("fresh", res(9))
 	if _, ok := st.Get("fresh"); !ok {
 		t.Error("Put did not reach the disk tier")
 	}
@@ -261,42 +259,38 @@ func TestTieredResolution(t *testing.T) {
 	}
 }
 
-// TestTieredDegradedLayers: a memory-only tier never touches disk and
-// never reports persisted; a disk-only tier (capacity 0) serves every
-// hit from the store.
+// TestTieredDegradedLayers: a memory-only tier (no store) serves
+// from memory and forgets what its LRU evicts; a 1-entry tier over a
+// store serves an evicted key from disk, promoting it again.
 func TestTieredDegradedLayers(t *testing.T) {
-	memOnly := NewTiered(2, nil)
-	if memOnly.Put("k", res(1)) {
-		t.Error("store-less Put reported persisted")
-	}
+	memOnly := NewTiered(1, nil)
+	memOnly.Put("k", res(1))
 	if r, _, tier := memOnly.Get("k"); tier != TierMemory || r.IPC != 1 {
 		t.Errorf("memory-only Get = %v from %v", r.IPC, tier)
 	}
-	if _, _, tier := memOnly.Get("absent"); tier != TierNone {
-		t.Error("memory-only miss did not report TierNone")
-	}
-	if memOnly.Store() != nil {
-		t.Error("memory-only tier claims a store")
+	memOnly.Put("j", res(2)) // evicts k
+	if _, _, tier := memOnly.Get("k"); tier != TierNone {
+		t.Errorf("memory-only tier served an evicted key from %v", tier)
 	}
 
 	st, err := store.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	diskOnly := NewTiered(0, st)
-	if !diskOnly.Put("k", res(2)) {
-		t.Fatal("disk-only Put did not persist")
+	tiny := NewTiered(1, st)
+	tiny.Put("k", res(3))
+	tiny.Put("j", res(4)) // evicts k from memory; the store keeps it
+	if _, _, ok := tiny.GetMem("k"); ok {
+		t.Fatal("evicted key still resident in memory")
 	}
-	for i := 0; i < 2; i++ {
-		if r, _, tier := diskOnly.Get("k"); tier != TierDisk || r.IPC != 2 {
-			t.Fatalf("disk-only lookup %d = %v from %v, want disk every time", i, r.IPC, tier)
-		}
+	if r, _, tier := tiny.Get("k"); tier != TierDisk || r.IPC != 3 {
+		t.Fatalf("evicted key = %v from %v, want IPC 3 from disk", r.IPC, tier)
 	}
-	if _, _, ok := diskOnly.GetMem("k"); ok {
-		t.Error("disk-only tier answered from a memory tier it does not have")
+	if r, _, tier := tiny.Get("k"); tier != TierMemory || r.IPC != 3 {
+		t.Errorf("re-lookup = %v from %v, want memory (read-through promotion)", r.IPC, tier)
 	}
-	if cs := diskOnly.CacheStats(); cs != (CacheStats{}) {
-		t.Errorf("disk-only cache stats = %+v, want zeroes", cs)
+	if cs := tiny.CacheStats(); cs.Entries != 1 || cs.Capacity != 1 {
+		t.Errorf("cache stats = %+v, want 1 entry at capacity 1", cs)
 	}
 }
 
@@ -319,8 +313,9 @@ func TestTieredPersistFailure(t *testing.T) {
 	if os.Geteuid() == 0 {
 		t.Skip("running as root: directory permissions do not bind")
 	}
-	if tiered.Put("k", res(4)) {
-		t.Fatal("Put into an unwritable store reported persisted")
+	tiered.Put("k", res(4))
+	if _, ok := st.Get("k"); ok {
+		t.Fatal("Put into an unwritable store persisted")
 	}
 	if r, _, tier := tiered.Get("k"); tier != TierMemory || r.IPC != 4 {
 		t.Errorf("after failed persist: %v from %v, want memory serve", r.IPC, tier)
@@ -378,8 +373,8 @@ func TestNegativeCaching(t *testing.T) {
 
 // TestTieredNegatives: negatives live only in the memory tier — a
 // Tiered.PutNegative never reaches the disk store, a memory hit
-// carries the error, and a tier without a memory layer drops the
-// negative silently (the caller just re-simulates).
+// carries the error, and an evicted negative is gone (the caller just
+// re-simulates).
 func TestTieredNegatives(t *testing.T) {
 	st, err := store.Open(t.TempDir())
 	if err != nil {
@@ -400,10 +395,11 @@ func TestTieredNegatives(t *testing.T) {
 		t.Errorf("tier negatives gauge = %d, want 1", cs.Negatives)
 	}
 
-	diskOnly := NewTiered(0, st)
-	diskOnly.PutNegative("bad", "boom") // no memory tier: dropped
-	if _, gerr, tier := diskOnly.Get("bad"); tier != TierNone || gerr != nil {
-		t.Errorf("disk-only tier served a negative it cannot hold: %v from %v", gerr, tier)
+	tiny := NewTiered(1, st)
+	tiny.PutNegative("bad", "boom")
+	tiny.Put("good", res(1)) // evicts the negative
+	if _, gerr, tier := tiny.Get("bad"); tier != TierNone || gerr != nil {
+		t.Errorf("evicted negative served: %v from %v", gerr, tier)
 	}
 }
 

@@ -120,8 +120,8 @@ type fleetHeartbeatRequest struct {
 // and priority, and may carry a full config of their own.
 //
 //	POST /v1/run             run (or enqueue) one simulation cell
-//	GET  /v1/jobs            list jobs in submission order
-//	GET  /v1/jobs/{id}       one job's status
+//	GET  /v1/jobs            list in-flight jobs in submission order
+//	GET  /v1/jobs/{id}       one job's status (id: the cell's content address)
 //	POST /v1/campaigns       start a declarative sweep (202 + campaign id)
 //	GET  /v1/campaigns       list campaigns with live progress
 //	GET  /v1/campaigns/{id}  one campaign's progress (+ matrix once done)
@@ -268,8 +268,6 @@ func NewHandler(svc *Service, cfg config.Config, opts ...HandlerOption) http.Han
 			writeJSON(w, http.StatusAccepted, runResponse{Job: job})
 			return
 		}
-		// DoJob holds the job across the wait, so a retention eviction
-		// between completion and reply cannot lose the result.
 		res, job, err := svc.DoJob(request)
 		if errors.Is(err, ErrOverloaded) {
 			span.SetCode(http.StatusTooManyRequests)
@@ -315,12 +313,10 @@ func NewHandler(svc *Service, cfg config.Config, opts ...HandlerOption) http.Han
 		id := r.PathValue("id")
 		// A completed job carries its result, so an async submitter can
 		// poll this endpoint to done and collect the document in one
-		// round trip. JobResult snapshots status and result in a single
-		// lookup, so retention eviction between the two cannot reply
-		// "done" without the document. The result is relabeled to the
-		// job's workload, matching the sync run path — a disk-served
-		// cell may carry the label of whoever first computed it,
-		// possibly an aliasing scenario.
+		// round trip. The id resolves in-flight table, then memory tier,
+		// then store, so a poll does not depend on how long the service
+		// keeps anything. The result is relabeled to the job's workload,
+		// matching the sync run path.
 		job, res, ok := svc.JobResult(id)
 		if !ok {
 			writeErr(w, http.StatusNotFound, fmt.Errorf("unknown job %q", id))
@@ -667,8 +663,8 @@ func campaignStatus(c *campaign.Campaign) campaignInfo {
 	return info
 }
 
-// metricsDoc is the /metrics document: the runner counters plus job,
-// store and result-tier gauges, flat like an expvar page so scrapers
+// metricsDoc is the /metrics document: the runner counters plus
+// in-flight job, store and result-tier gauges, flat like an expvar page so scrapers
 // stay simple — except "latency", a map of p50/p95/p99 summaries per
 // endpoint (plus "sim", the per-simulation latency feeding the
 // Retry-After estimator).
@@ -677,12 +673,8 @@ type metricsDoc struct {
 	MemoryHits    uint64 `json:"memory_hits"`
 	DiskHits      uint64 `json:"disk_hits"`
 	Coalesced     uint64 `json:"coalesced"`
-	JobsTotal     int    `json:"jobs_total"`
 	JobsQueued    int    `json:"jobs_queued"`
 	JobsRunning   int    `json:"jobs_running"`
-	JobsDone      int    `json:"jobs_done"`
-	JobsError     int    `json:"jobs_error"`
-	JobsEvicted   uint64 `json:"jobs_evicted"`
 	JobsRejected  uint64 `json:"jobs_rejected"`
 	StoreEntries  int    `json:"store_entries"`
 	TierEntries   int    `json:"tier_entries"`
@@ -706,7 +698,6 @@ func metrics(svc *Service, fc *fleet.Coordinator, hists map[string]*latency.Hist
 		MemoryHits:    st.MemoryHits,
 		DiskHits:      st.DiskHits,
 		Coalesced:     st.Coalesced,
-		JobsEvicted:   svc.EvictedJobs(),
 		JobsRejected:  svc.Rejected(),
 		TierEntries:   tier.Entries,
 		TierCapacity:  tier.Capacity,
@@ -726,16 +717,10 @@ func metrics(svc *Service, fc *fleet.Coordinator, hists map[string]*latency.Hist
 		}
 	}
 	for _, j := range svc.Jobs() {
-		doc.JobsTotal++
-		switch j.State {
-		case StateQueued:
+		if j.State == StateQueued {
 			doc.JobsQueued++
-		case StateRunning:
+		} else {
 			doc.JobsRunning++
-		case StateDone:
-			doc.JobsDone++
-		case StateError:
-			doc.JobsError++
 		}
 	}
 	if s := svc.Store(); s != nil {
@@ -775,13 +760,10 @@ func writeProm(w http.ResponseWriter, svc *Service, fc *fleet.Coordinator, hists
 	}{
 		{"queued", doc.JobsQueued},
 		{"running", doc.JobsRunning},
-		{"done", doc.JobsDone},
-		{"error", doc.JobsError},
 	} {
-		p.Gauge("zng_jobs", "Jobs in the retention window by state.",
+		p.Gauge("zng_jobs", "In-flight jobs by state.",
 			float64(s.n), obs.Label{Name: "state", Value: s.state})
 	}
-	p.Counter("zng_jobs_evicted_total", "Finished jobs evicted by retention.", float64(doc.JobsEvicted))
 	p.Counter("zng_jobs_rejected_total", "Submissions rejected by admission control.", float64(doc.JobsRejected))
 	p.Gauge("zng_store_entries", "Results in the disk store.", float64(doc.StoreEntries))
 	p.Gauge("zng_tier_entries", "Results in the memory tier.", float64(doc.TierEntries))

@@ -239,14 +239,33 @@ func TestAPIListEndpoints(t *testing.T) {
 	}
 }
 
+// TestAPIJobsListAndMetrics: /v1/jobs lists the in-flight jobs in
+// submission order and /metrics counts them by state; once the cells
+// complete the table is empty and a rerun is a memory hit.
 func TestAPIJobsListAndMetrics(t *testing.T) {
-	srv, _ := newTestServer(t, fixedSim(1))
-	if resp, doc := postRun(t, srv.URL, `{"platform":"ZnG","mix":"betw-back","scale":0.5}`); resp.StatusCode != http.StatusOK {
-		t.Fatalf("run failed: %s", doc["error"])
-	}
-	// An identical re-run is a memory hit on the same job.
-	if resp, doc := postRun(t, srv.URL, `{"platform":"ZnG","mix":"betw-back","scale":0.5}`); resp.StatusCode != http.StatusOK {
-		t.Fatalf("rerun failed: %s", doc["error"])
+	sim := &stubSim{gate: make(chan struct{}), started: make(chan struct{}, 1), res: platform.Result{IPC: 1}}
+	svc := New(Config{Workers: 1, Simulate: sim.fn})
+	t.Cleanup(svc.Close)
+	srv := httptest.NewServer(NewHandler(svc, config.Default()))
+	t.Cleanup(srv.Close)
+
+	var ids []string
+	for _, body := range []string{
+		`{"platform":"ZnG","mix":"betw-back","scale":0.5,"async":true}`,
+		`{"platform":"ZnG","mix":"betw-back","scale":0.25,"async":true}`,
+	} {
+		resp, doc := postRun(t, srv.URL, body)
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("async run failed: %s", doc["error"])
+		}
+		var job JobInfo
+		if err := json.Unmarshal(doc["job"], &job); err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, job.ID)
+		if len(ids) == 1 {
+			<-sim.started // the first cell occupies the only worker
+		}
 	}
 
 	var jobs struct {
@@ -255,16 +274,34 @@ func TestAPIJobsListAndMetrics(t *testing.T) {
 	if code := getJSON(t, srv.URL+"/v1/jobs", &jobs); code != http.StatusOK {
 		t.Fatalf("jobs status %d", code)
 	}
-	if len(jobs.Jobs) != 1 {
-		t.Fatalf("jobs = %+v, want the coalesced single job", jobs.Jobs)
+	if len(jobs.Jobs) != 2 || jobs.Jobs[0].ID != ids[0] || jobs.Jobs[1].ID != ids[1] ||
+		jobs.Jobs[0].State != StateRunning || jobs.Jobs[1].State != StateQueued {
+		t.Fatalf("jobs = %+v, want %v running then queued", jobs.Jobs, ids)
+	}
+	var m metricsDoc
+	getJSON(t, srv.URL+"/metrics", &m)
+	if m.JobsRunning != 1 || m.JobsQueued != 1 {
+		t.Errorf("metrics = %+v, want 1 running, 1 queued", m)
 	}
 
-	var m metricsDoc
-	if code := getJSON(t, srv.URL+"/metrics", &m); code != http.StatusOK {
-		t.Fatalf("metrics status %d", code)
+	close(sim.gate)
+	for _, id := range ids {
+		if _, err := svc.Await(id); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if m.Sims != 1 || m.MemoryHits != 1 || m.JobsDone != 1 || m.JobsTotal != 1 {
-		t.Errorf("metrics = %+v, want 1 sim, 1 memory hit, 1 done job", m)
+	// An identical re-run is a memory hit; nothing is in flight.
+	if resp, doc := postRun(t, srv.URL, `{"platform":"ZnG","mix":"betw-back","scale":0.5}`); resp.StatusCode != http.StatusOK {
+		t.Fatalf("rerun failed: %s", doc["error"])
+	}
+	getJSON(t, srv.URL+"/v1/jobs", &jobs)
+	if len(jobs.Jobs) != 0 {
+		t.Errorf("jobs = %+v after completion, want none in flight", jobs.Jobs)
+	}
+	m = metricsDoc{}
+	getJSON(t, srv.URL+"/metrics", &m)
+	if m.Sims != 2 || m.MemoryHits != 1 || m.JobsQueued != 0 || m.JobsRunning != 0 {
+		t.Errorf("metrics = %+v, want 2 sims, 1 memory hit, nothing in flight", m)
 	}
 }
 

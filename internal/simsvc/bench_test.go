@@ -13,8 +13,8 @@ import (
 
 // BenchmarkServiceThroughput measures end-to-end request throughput
 // against a warmed store at TestOptions scale: every request pays the
-// full serving path — content-address hashing, submit, job lookup,
-// result relabel — and is satisfied without simulating. This is the
+// full serving path — content-address lookup, submit, memory-tier
+// hit, result relabel — and is satisfied without simulating. This is the
 // baseline trajectory for future scaling work (sharding, batching,
 // multi-node): the serving overhead a hit costs, as requests/sec.
 func BenchmarkServiceThroughput(b *testing.B) {
@@ -50,15 +50,15 @@ func BenchmarkServiceThroughput(b *testing.B) {
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "req/s")
 }
 
-// BenchmarkServiceTiered compares the serving hot path per tier under
-// retention pressure: MaxJobs 1 evicts nearly every job memo, so each
-// request over a 64-cell working set re-resolves its cell — from the
-// warmed memory tier ("memory"), or with the tier disabled from the
-// store through a full queue + worker round trip ("disk"). The gap is
-// the tier's reason to exist: memory must be well over 5x cheaper.
+// BenchmarkServiceTiered compares the serving hot path per tier over
+// a 64-cell working set: every request re-resolves its completed cell
+// — from the warmed memory tier ("memory"), or, through a 1-entry tier
+// the cycle keeps evicting, from the store via a full queue + worker
+// round trip ("disk"). The gap is the tier's reason to exist: memory
+// must be well over 5x cheaper.
 func BenchmarkServiceTiered(b *testing.B) {
-	b.Run("memory", func(b *testing.B) { benchTieredServing(b, 4096) })
-	b.Run("disk", func(b *testing.B) { benchTieredServing(b, 0) })
+	b.Run("memory", func(b *testing.B) { benchTieredServing(b, DefaultCacheEntries) })
+	b.Run("disk", func(b *testing.B) { benchTieredServing(b, 1) })
 }
 
 func benchTieredServing(b *testing.B, cacheEntries int) {
@@ -70,7 +70,7 @@ func benchTieredServing(b *testing.B, cacheEntries int) {
 	stub := func(kind platform.Kind, mix workload.Mix, scale float64, cfg config.Config) (platform.Result, error) {
 		return platform.Result{Kind: kind, Workload: mix.Name, IPC: 1.5, Cycles: 1000, Insts: 1500}, nil
 	}
-	svc := New(Config{Store: st, MaxJobs: 1, CacheEntries: cacheEntries, Simulate: stub})
+	svc := New(Config{Store: st, CacheEntries: cacheEntries, Simulate: stub})
 	defer svc.Close()
 
 	o := experiments.TestOptions()
@@ -79,7 +79,7 @@ func benchTieredServing(b *testing.B, cacheEntries int) {
 	for i := range reqs {
 		reqs[i] = Request{Kind: platform.GDDR5, Mix: mix, Scale: o.Scale * (1 + float64(i)/cells), Cfg: o.Cfg}
 		// Warm: every cell simulated once, written through to the store
-		// (and the tier when present).
+		// and the tier.
 		if _, err := svc.Do(reqs[i]); err != nil {
 			b.Fatal(err)
 		}
@@ -103,4 +103,30 @@ func benchTieredServing(b *testing.B, cacheEntries int) {
 		b.Fatalf("benchmark re-simulated: %d sims, want the %d warmups", sims, cells)
 	}
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "req/s")
+}
+
+// TestTierHitAllocs pins the cost of the hot path: a warmed
+// memory-tier hit allocates no job, so a Do answered at admission
+// stays within 4 allocations.
+func TestTierHitAllocs(t *testing.T) {
+	stub := func(kind platform.Kind, mix workload.Mix, scale float64, cfg config.Config) (platform.Result, error) {
+		return platform.Result{Kind: kind, Workload: mix.Name, IPC: 1.5}, nil
+	}
+	svc := New(Config{Workers: 1, Simulate: stub})
+	defer svc.Close()
+	req := Request{Kind: platform.GDDR5, Mix: testMix(t, "betw-back"), Scale: 0.5, Cfg: config.Default()}
+	if _, err := svc.Do(req); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		if _, err := svc.Do(req); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 4 {
+		t.Errorf("warmed tier-hit Do made %v allocations, want at most 4", allocs)
+	}
+	if st := svc.Stats(); st.Sims != 1 {
+		t.Errorf("stats = %+v, want the single warmup simulation", st)
+	}
 }

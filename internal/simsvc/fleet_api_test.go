@@ -5,8 +5,11 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"testing"
 
+	"zng/internal/campaign"
 	"zng/internal/config"
 	"zng/internal/fleet"
 	"zng/internal/store"
@@ -230,5 +233,31 @@ func TestAPIFleetCampaignResume(t *testing.T) {
 	}
 	if !bytes.Equal(table1, detail2.Table) {
 		t.Fatalf("resumed table differs from original:\n%s\nvs\n%s", table1, detail2.Table)
+	}
+}
+
+// TestAPIFleetResumeRejectsPathTraversal: the router unescapes %2F, so
+// a campaign id can arrive as "../../x". Resume must answer 404
+// without reading the checkpoint path it would build, even with a
+// decodable spec.json planted at the traversal target.
+func TestAPIFleetResumeRejectsPathTraversal(t *testing.T) {
+	root := t.TempDir()
+	srv, _, _ := newFleetServer(t, filepath.Join(root, "store"), fixedSim(1))
+	spec, err := json.Marshal(struct {
+		V    int           `json:"v"`
+		Spec campaign.Spec `json:"spec"`
+	}{1, campaign.Spec{Platforms: []string{"ZnG"}, Scenarios: []string{"solo-bfs1"}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll(filepath.Join(root, "x"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(root, "x", "spec.json"), spec, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	resp, doc := postJSON(t, srv.URL+"/v1/campaigns/..%2F..%2Fx/resume", `{}`)
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("traversal resume = %d (%s), want 404", resp.StatusCode, doc["error"])
 	}
 }

@@ -10,11 +10,10 @@
 // this one code path; what used to be a process-wide memo global in
 // internal/experiments is now an injectable runner. Request flow:
 //
-//	memory (completed cell)      -> MemoryHits
-//	memory (LRU result tier)     -> MemoryHits (internal/restier; the
-//	                                cell's job was evicted but its
-//	                                document is still resident)
 //	identical cell in flight     -> Coalesced (attach, no new job)
+//	memory (LRU result tier)     -> MemoryHits (internal/restier; a
+//	                                completed cell's decoded document
+//	                                or cached failure)
 //	persistent store             -> DiskHits  (worker reads, then
 //	                                           promotes into the tier)
 //	otherwise                    -> Sims      (worker simulates, then
@@ -29,18 +28,15 @@
 // queue — memory hits, tier hits, coalesced attaches — are always
 // admitted.
 //
-// Every admitted cell is one Job with an observable lifecycle
-// (queued, running, done, error) — the unit the zngd HTTP API
-// (api.go) exposes.
-//
-// Retention is bounded: with Config.MaxJobs set, completed jobs past
-// the bound are evicted oldest-first — done jobs only once their
-// result is persisted in the store (an evicted cell re-serves from
-// disk as a DiskHit), failed jobs unconditionally (a deterministic
-// failure recomputes identically). Queued and running jobs are never
-// evicted, and a memory-only service (no store) never evicts done
-// results, so the memo contract degrades only where disk can back it
-// up. Eviction counts surface as jobs_evicted in /metrics.
+// Completed cells live in one layer only, the result tier. The job
+// table holds in-flight cells alone: a cell enters it at admission and
+// leaves when its worker finishes, after the outcome is published to
+// the tier, so a concurrent request always finds one or the other. A
+// job's id is its cell's content address (store.CellKey), so an id
+// names the same cell whether it is queued, running or complete, and
+// resolves — in-flight table, then memory tier, then store — for as
+// long as any layer holds the cell. The tier's entry bound
+// (Config.CacheEntries) is the only retention policy.
 package simsvc
 
 import (
@@ -48,9 +44,11 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"sort"
 	"sync"
 	"time"
 
+	"zng/internal/cellkey"
 	"zng/internal/config"
 	"zng/internal/experiments"
 	"zng/internal/latency"
@@ -60,6 +58,10 @@ import (
 	"zng/internal/store"
 	"zng/internal/workload"
 )
+
+// DefaultCacheEntries is the result tier's size when
+// Config.CacheEntries is unset.
+const DefaultCacheEntries = 4096
 
 // ErrClosed is returned by Submit after Close, and by Await for jobs
 // that were still queued when the service shut down.
@@ -85,15 +87,11 @@ type Config struct {
 	Workers int
 	// Simulate overrides the simulation function (nil = platform.RunMix).
 	Simulate SimFunc
-	// MaxJobs bounds retained completed jobs (0 = unbounded). Past the
-	// bound, the oldest evictable jobs — done-and-persisted, or failed
-	// — are dropped from memory; their cells re-serve from the store.
-	MaxJobs int
 	// CacheEntries sizes the in-memory LRU result tier
-	// (internal/restier) fronting the store: cells whose jobs retention
-	// evicted — and disk hits on re-serve — stay resident as decoded
-	// documents, so the hot working set never pays the store's
-	// read+decode cost. 0 disables the tier (the pre-tier behavior).
+	// (internal/restier) fronting the store, in entries: completed
+	// cells — simulated, disk-served, or cached failures — stay
+	// resident as decoded documents, so the hot working set never pays
+	// the store's read+decode cost. ≤ 0 selects DefaultCacheEntries.
 	CacheEntries int
 	// MaxQueue bounds the pending-job queue (0 = unbounded): a request
 	// that would queue a new simulation past the bound fails with
@@ -135,17 +133,20 @@ type Request struct {
 }
 
 // JobInfo is the externally visible snapshot of one job, shaped for
-// the zngd JSON API.
+// the zngd JSON API. ID is the cell's content address. A completed
+// cell reports only what the result tier vouches for — id, state,
+// platform, workload, source, error; mix, scale, priority and waiters
+// describe an in-flight job.
 type JobInfo struct {
 	ID       string  `json:"id"`
 	State    State   `json:"state"`
 	Platform string  `json:"platform"`
 	Workload string  `json:"workload"`
-	MixID    string  `json:"mix"`
-	Scale    float64 `json:"scale"`
-	Priority int     `json:"priority"`
+	MixID    string  `json:"mix,omitempty"`
+	Scale    float64 `json:"scale,omitempty"`
+	Priority int     `json:"priority,omitempty"`
 	// Waiters counts the extra requests that coalesced onto this job.
-	Waiters int `json:"waiters"`
+	Waiters int `json:"waiters,omitempty"`
 	// Source records how the job was satisfied: "sim", "disk" or
 	// "memory" — the result tier — (empty until it finishes).
 	Source string `json:"source,omitempty"`
@@ -168,11 +169,11 @@ type keyID struct {
 	cfg   config.Config
 }
 
-// job is one admitted cell. res and err are written exactly once,
-// before done is closed, so readers that have observed the close may
-// read them without the service lock.
+// job is one in-flight cell; key is both its cell key and its id.
+// res and err are written exactly once, before done is closed, so
+// readers that have observed the close may read them without the
+// service lock.
 type job struct {
-	id      string
 	seq     uint64
 	idx     int // position in the pending heap; -1 once popped
 	req     Request
@@ -183,10 +184,6 @@ type job struct {
 	done    chan struct{}
 	res     platform.Result
 	err     error
-	// persisted records that the result is safely in the store (read
-	// from it, or written through successfully), making the job
-	// evictable: a future request re-serves the cell from disk.
-	persisted bool
 	// trace is the first traced submitter's span context — the parent
 	// the job's worker-side spans (queue, tier, sim, store.put) record
 	// under. Written at admission before the job is published, read
@@ -199,7 +196,7 @@ type job struct {
 
 func (j *job) info() JobInfo {
 	info := JobInfo{
-		ID:       j.id,
+		ID:       j.key,
 		State:    j.state,
 		Platform: j.req.Kind.String(),
 		Workload: j.req.Mix.Name,
@@ -215,12 +212,23 @@ func (j *job) info() JobInfo {
 	return info
 }
 
+// doneInfo is the snapshot of a completed cell, built from what the
+// layer that answered holds: no job, no request metadata beyond the
+// labels.
+func doneInfo(id, kind, workload, source string, err error) JobInfo {
+	info := JobInfo{ID: id, State: StateDone, Platform: kind, Workload: workload, Source: source}
+	if err != nil {
+		info.State = StateError
+		info.Error = err.Error()
+	}
+	return info
+}
+
 // Service is the coalescing scheduler. Safe for concurrent use.
 type Service struct {
 	st       *store.Store
 	tier     *restier.Tiered
 	sim      SimFunc
-	maxJobs  int
 	maxQueue int
 	workers  int
 	// tr records request-lifecycle spans; nil disables tracing (every
@@ -231,27 +239,19 @@ type Service struct {
 	// is internally atomic, so workers record without the service lock.
 	simHist latency.Histogram
 
-	mu     sync.Mutex
-	cond   *sync.Cond              // queue became non-empty, or the service closed
-	queue  jobQueue                // guarded by mu
-	keys   map[keyID]string        // guarded by mu; memoized cell-key derivations (the hot path's SHA-256)
-	cells  map[string]*job         // guarded by mu; cell key -> owning job (completed cells stay: the memory layer)
-	jobs   map[string]*job         // guarded by mu; job id -> job
-	order  []*job                  // guarded by mu; submission order, for listing
-	nextID uint64                  // guarded by mu
-	stats  experiments.RunnerStats // guarded by mu
+	mu    sync.Mutex
+	cond  *sync.Cond              // queue became non-empty, or the service closed
+	queue jobQueue                // guarded by mu
+	keys  map[keyID]string        // guarded by mu; memoized cell-key derivations (the hot path's SHA-256)
+	jobs  map[string]*job         // guarded by mu; cell key -> in-flight job, from admission until finish
+	seq   uint64                  // guarded by mu; admissions so far: FIFO tie-break and listing order
+	stats experiments.RunnerStats // guarded by mu
 	// rejected counts submissions refused with ErrOverloaded. guarded by mu.
 	rejected uint64
 	// simEWMA tracks recent per-simulation latency in nanoseconds
 	// (exponentially weighted, α=0.2) — the Retry-After estimator.
 	// guarded by mu.
 	simEWMA float64
-	// evictable counts retained jobs eligible for eviction, so a
-	// memory-only service (where done jobs are never evictable) skips
-	// the retention scan entirely instead of walking an ever-growing
-	// order slice on every completion. guarded by mu.
-	evictable int
-	evicted   uint64 // guarded by mu
 	// running counts jobs a worker has popped and not yet finished —
 	// with the queue depth, the load figure a fleet worker heartbeats
 	// to its coordinator. guarded by mu.
@@ -269,16 +269,17 @@ func New(cfg Config) *Service {
 	if cfg.Simulate == nil {
 		cfg.Simulate = platform.RunMix
 	}
+	if cfg.CacheEntries <= 0 {
+		cfg.CacheEntries = DefaultCacheEntries
+	}
 	s := &Service{
 		st:       cfg.Store,
 		tier:     restier.NewTiered(cfg.CacheEntries, cfg.Store),
 		sim:      cfg.Simulate,
-		maxJobs:  cfg.MaxJobs,
 		maxQueue: cfg.MaxQueue,
 		workers:  cfg.Workers,
 		tr:       cfg.Tracer,
 		keys:     map[keyID]string{},
-		cells:    map[string]*job{},
 		jobs:     map[string]*job{},
 	}
 	s.cond = sync.NewCond(&s.mu)
@@ -289,31 +290,43 @@ func New(cfg Config) *Service {
 	return s
 }
 
-// Submit admits a request and returns the id of the job that will
-// satisfy it — an existing one when the cell is already completed in
-// memory (a memory hit) or in flight (a coalesced attach), a fresh
-// queued one otherwise. Submit never blocks on simulation work.
-//
-// With MaxJobs retention the returned id may be evicted at any time
-// after the job completes; Await on an evicted id fails. In-process
-// callers that must not race retention use Do/DoJob, which hold the
-// job itself rather than re-resolving the id.
+// Submit admits a request and returns its job id, the cell's content
+// address: the same id whether the request attached to an in-flight
+// job (a coalesced attach), was answered from the memory tier (a
+// memory hit), or queued a fresh job. Submit never blocks on
+// simulation work.
 func (s *Service) Submit(req Request) (string, error) {
-	j, _, err := s.submit(req)
+	a, err := s.submit(req)
 	if err != nil {
 		return "", err
 	}
-	return j.id, nil
+	return a.key, nil
 }
 
-// submit is the admission core: it returns the owning job itself, so
-// internal callers keep a live reference that eviction cannot
-// invalidate. served names the tier that satisfied THIS request when
-// it was answered at admission time ("memory" for memo and tier hits)
-// and is empty for coalesced attaches and fresh jobs — the job's own
-// source says how the cell was originally computed, which is not the
-// same thing (request-level serve attribution).
-func (s *Service) submit(req Request) (*job, string, error) {
+// answer is how the service resolved one cell: j is the in-flight job
+// to wait on, or nil when a tier answered for the completed cell, in
+// which case res and err are its outcome.
+type answer struct {
+	key string
+	j   *job
+	res platform.Result
+	err error
+}
+
+// wait blocks until the cell's outcome is known.
+func (a *answer) wait() (platform.Result, error) {
+	if a.j == nil {
+		return a.res, a.err
+	}
+	<-a.j.done
+	return a.j.res, a.j.err
+}
+
+// submit is the admission core. Resolution order: the in-flight table
+// (coalesce), the memory tier (a hit allocates no job), a fresh queued
+// job. A tier hit reports source "memory" for THIS request; a waiter
+// reports its job's source — request-level serve attribution.
+func (s *Service) submit(req Request) (answer, error) {
 	id := keyID{kind: req.Kind, mixID: req.Mix.ID(), scale: req.Scale, cfg: req.Cfg}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -333,80 +346,37 @@ func (s *Service) submit(req Request) (*job, string, error) {
 		key = derived
 	}
 	if s.closed {
-		return nil, "", ErrClosed
+		return answer{}, ErrClosed
 	}
-	if j, ok := s.cells[key]; ok {
-		select {
-		case <-j.done:
-			// The completed cell answered from memory, whatever tier
-			// originally computed it.
-			s.stats.MemoryHits++
-			s.note(req, memTierName(j.err), j.err)
-			return j, "memory", nil
-		default:
-			s.stats.Coalesced++
-			j.waiters++
-			s.note(req, "coalesce", nil)
-			// A higher-priority attach promotes a still-queued job,
-			// otherwise the new request would silently inherit the old
-			// queue position — priority inversion.
-			if j.state == StateQueued && req.Priority > j.req.Priority {
-				j.req.Priority = req.Priority
-				heap.Fix(&s.queue, j.idx)
-			}
+	if j, ok := s.jobs[key]; ok {
+		s.stats.Coalesced++
+		j.waiters++
+		s.note(req, "coalesce", nil)
+		// A higher-priority attach promotes a still-queued job,
+		// otherwise the new request would silently inherit the old
+		// queue position — priority inversion.
+		if j.state == StateQueued && req.Priority > j.req.Priority {
+			j.req.Priority = req.Priority
+			heap.Fix(&s.queue, j.idx)
 		}
-		return j, "", nil
+		return answer{key: key, j: j}, nil
 	}
-	// The result tier can satisfy cells whose jobs retention evicted:
-	// the job memo is gone but the decoded document (or its cached
-	// deterministic failure) is still resident. Serve it as an
-	// already-done job — no queue slot, no worker round-trip. GetMem
-	// never touches the disk, so the lookup is safe under the service
-	// lock.
+	// A completed cell — its decoded document, or its cached
+	// deterministic failure — answers from memory with no queue slot
+	// and no worker round-trip. GetMem never touches the disk, so the
+	// lookup is safe under the service lock.
 	if r, negErr, ok := s.tier.GetMem(key); ok {
 		s.stats.MemoryHits++
 		s.note(req, memTierName(negErr), negErr)
-		s.nextID++
-		j := &job{
-			id:     fmt.Sprintf("job-%d", s.nextID),
-			seq:    s.nextID,
-			idx:    -1,
-			req:    req,
-			key:    key,
-			state:  StateDone,
-			source: "memory",
-			// With a store present the tier's residents came off disk or
-			// were written through; even after a rare failed write-through
-			// an eviction only costs a deterministic re-simulation.
-			persisted: s.tier.Store() != nil,
-			done:      make(chan struct{}),
-			res:       r,
-		}
-		if negErr != nil {
-			// A cached deterministic failure replays without burning a
-			// worker on a simulation that fails identically every time.
-			j.state = StateError
-			j.err = negErr
-			j.res = platform.Result{}
-		}
-		close(j.done)
-		s.cells[key] = j
-		s.jobs[j.id] = j
-		s.order = append(s.order, j)
-		if s.jobEvictable(j) {
-			s.evictable++
-		}
-		s.evictLocked()
-		return j, "memory", nil
+		return answer{key: key, res: r, err: negErr}, nil
 	}
 	if s.maxQueue > 0 && len(s.queue) >= s.maxQueue {
 		s.rejected++
-		return nil, "", ErrOverloaded
+		return answer{}, ErrOverloaded
 	}
-	s.nextID++
+	s.seq++
 	j := &job{
-		id:    fmt.Sprintf("job-%d", s.nextID),
-		seq:   s.nextID,
+		seq:   s.seq,
 		req:   req,
 		key:   key,
 		state: StateQueued,
@@ -416,77 +386,87 @@ func (s *Service) submit(req Request) (*job, string, error) {
 		j.trace = req.Trace
 		j.enq = time.Now()
 	}
-	s.cells[key] = j
-	s.jobs[j.id] = j
-	s.order = append(s.order, j)
+	s.jobs[key] = j
 	heap.Push(&s.queue, j)
 	s.cond.Signal()
-	return j, "", nil
+	return answer{key: key, j: j}, nil
 }
 
-// Await blocks until the job finishes and returns its result. The
-// result's Workload label is whatever the job's first submitter asked
-// for; Do relabels per caller.
+// Await blocks until the job finishes and returns its result. The id
+// resolves like Job's; the result's Workload label is whatever the
+// cell's first submitter asked for (Do relabels per caller). On a
+// closed service an id no layer holds — a job Close failed — reports
+// ErrClosed.
 func (s *Service) Await(id string) (platform.Result, error) {
 	s.mu.Lock()
 	j, ok := s.jobs[id]
+	closed := s.closed
 	s.mu.Unlock()
-	if !ok {
-		return platform.Result{}, fmt.Errorf("simsvc: unknown job %q", id)
+	if ok {
+		<-j.done
+		return j.res, j.err
 	}
-	<-j.done
-	return j.res, j.err
+	if _, a, ok := s.completed(id); ok {
+		return a.wait()
+	}
+	if closed {
+		return platform.Result{}, ErrClosed
+	}
+	return platform.Result{}, fmt.Errorf("simsvc: unknown job %q", id)
 }
 
 // Do is the synchronous request path: submit, wait, and relabel the
 // result with the name the caller asked under (aliasing scenarios
 // share cells but keep their own labels, matching the experiments
-// memo's contract). Do holds the job directly, so MaxJobs retention
-// can never evict a result out from under a waiting caller.
+// memo's contract).
 func (s *Service) Do(req Request) (platform.Result, error) {
-	res, _, err := s.DoJob(req)
-	return res, err
+	a, err := s.submit(req)
+	if err != nil {
+		return platform.Result{}, err
+	}
+	res, err := a.wait()
+	return relabel(res, err, req), err
 }
 
 // DoJob is Do plus the satisfied job's final snapshot, for callers
 // (the HTTP sync path) that report job metadata alongside the result.
 func (s *Service) DoJob(req Request) (platform.Result, JobInfo, error) {
-	j, served, err := s.submit(req)
+	a, err := s.submit(req)
 	if err != nil {
 		return platform.Result{}, JobInfo{}, err
 	}
-	<-j.done
-	s.mu.Lock()
-	info := j.info()
-	s.mu.Unlock()
-	// Request-level attribution: a request answered at admission from
-	// the memory layer reports the tier that served it, not the source
-	// that originally computed the cell for some earlier request.
-	if served != "" {
-		info.Source = served
-	}
-	res := j.res
-	if j.err == nil && req.Mix.Name != "" {
-		res.Workload = req.Mix.Name
-	}
-	return res, info, j.err
+	res, err := a.wait()
+	return relabel(res, err, req), s.admittedInfo(&a, req), err
 }
 
 // SubmitJob is Submit plus the admitted job's snapshot taken at
-// admission time, so async callers get consistent metadata even if
-// retention evicts the job before they poll.
+// admission time.
 func (s *Service) SubmitJob(req Request) (JobInfo, error) {
-	j, served, err := s.submit(req)
+	a, err := s.submit(req)
 	if err != nil {
 		return JobInfo{}, err
 	}
+	return s.admittedInfo(&a, req), nil
+}
+
+// admittedInfo snapshots an admitted request's job: the memory tier's
+// answer built from the request itself, or the job it waits on.
+func (s *Service) admittedInfo(a *answer, req Request) JobInfo {
+	if a.j == nil {
+		return doneInfo(a.key, req.Kind.String(), req.Mix.Name, "memory", a.err)
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	info := j.info()
-	if served != "" {
-		info.Source = served
+	return a.j.info()
+}
+
+// relabel stamps a served result with the workload name its caller
+// asked under.
+func relabel(res platform.Result, err error, req Request) platform.Result {
+	if err == nil && req.Mix.Name != "" {
+		res.Workload = req.Mix.Name
 	}
-	return info, nil
+	return res
 }
 
 // Run implements experiments.Runner at default priority — the single
@@ -508,7 +488,7 @@ func (s *Service) RunTraced(sc obs.SpanContext, kind platform.Kind, mix workload
 func (s *Service) Tracer() *obs.Tracer { return s.tr }
 
 // note records a zero-duration marker span — admission-time outcomes
-// (memo hit, coalesce attach, memory-tier hit) that have no
+// (coalesce attach, memory-tier hit, negative replay) that have no
 // meaningful extent — for traced requests only. Untraced requests pay
 // two comparisons. Called with mu held; the ring has its own brief
 // lock and never calls back into the service.
@@ -528,46 +508,63 @@ func memTierName(err error) string {
 	return "tier.memory"
 }
 
-// Job snapshots one job by id.
-func (s *Service) Job(id string) (JobInfo, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	j, ok := s.jobs[id]
-	if !ok {
-		return JobInfo{}, false
+// completed resolves the id of a cell no longer in flight: the memory
+// tier, then the store (promoting a disk hit), read without the
+// service lock. Only a well-formed content address reaches either
+// layer — the HTTP router unescapes %2F, so a path id like "../../x"
+// must never become a store file name.
+func (s *Service) completed(id string) (JobInfo, answer, bool) {
+	if !cellkey.Valid(id) {
+		return JobInfo{}, answer{}, false
 	}
-	return j.info(), true
+	r, err, tier := s.tier.Get(id)
+	if tier == restier.TierNone {
+		return JobInfo{}, answer{}, false
+	}
+	kind := ""
+	if err == nil {
+		kind = r.Kind.String()
+	}
+	return doneInfo(id, kind, r.Workload, tier.String(), err), answer{key: id, res: r, err: err}, true
+}
+
+// Job snapshots one job by id: the in-flight table, then the memory
+// tier, then the store. An id no layer holds is unknown.
+func (s *Service) Job(id string) (JobInfo, bool) {
+	info, _, ok := s.JobResult(id)
+	return info, ok
 }
 
 // JobResult snapshots one job by id and — when it is done — its
-// result, in a single lookup, so a retention eviction between
-// "observe done" and "read result" cannot lose the result the way a
-// Job-then-Await pair would (the HTTP poll endpoint's contract).
+// result, resolving like Job, so a poll observes "done" together
+// with the document (the HTTP poll endpoint's contract).
 func (s *Service) JobResult(id string) (JobInfo, platform.Result, bool) {
 	s.mu.Lock()
-	j, ok := s.jobs[id]
-	if !ok {
+	if j, ok := s.jobs[id]; ok {
+		// In the table means queued or running: finish removes a job in
+		// the same critical section that completes it.
+		info := j.info()
 		s.mu.Unlock()
-		return JobInfo{}, platform.Result{}, false
-	}
-	info := j.info()
-	s.mu.Unlock()
-	if info.State != StateDone {
 		return info, platform.Result{}, true
 	}
-	// res was published before state flipped to done (finish holds the
-	// lock for both), so having observed done we may read it lock-free.
-	return info, j.res, true
+	s.mu.Unlock()
+	info, a, ok := s.completed(id)
+	return info, a.res, ok
 }
 
-// Jobs snapshots every job in submission order.
+// Jobs snapshots the in-flight jobs in submission order.
 func (s *Service) Jobs() []JobInfo {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]JobInfo, len(s.order))
-	for i, j := range s.order {
+	inflight := make([]*job, 0, len(s.jobs))
+	for _, j := range s.jobs {
+		inflight = append(inflight, j)
+	}
+	sort.Slice(inflight, func(a, b int) bool { return inflight[a].seq < inflight[b].seq })
+	out := make([]JobInfo, len(inflight))
+	for i, j := range inflight {
 		out[i] = j.info()
 	}
+	s.mu.Unlock()
 	return out
 }
 
@@ -590,10 +587,13 @@ func (s *Service) Close() {
 	s.mu.Lock()
 	if !s.closed {
 		s.closed = true
+		// Queued jobs fail with ErrClosed and leave the table. The
+		// failure is the shutdown's, not the cell's, so it never reaches
+		// the tier's negative cache.
 		for _, j := range s.queue {
 			j.err = ErrClosed
 			j.state = StateError
-			s.evictable++
+			delete(s.jobs, j.key)
 			close(j.done)
 		}
 		s.queue = nil
@@ -632,10 +632,8 @@ func (s *Service) worker() {
 		}
 		if r, negErr, tier := s.tier.Get(j.key); tier != restier.TierNone {
 			// A disk hit was promoted into the memory tier on the way
-			// through; either way the result is already persisted. A
-			// negative hit (a concurrent request cached the failure after
-			// this job was admitted) replays the deterministic error —
-			// failed jobs are evictable regardless of persistence.
+			// through, so the outcome is published before finish removes
+			// the job.
 			if traced {
 				name := "tier." + tier.String()
 				if negErr != nil {
@@ -643,7 +641,7 @@ func (s *Service) worker() {
 				}
 				s.tr.Observe(j.trace, name, "", tierStart, time.Since(tierStart), negErr)
 			}
-			s.finish(j, r, negErr, tier.String(), negErr == nil, 0)
+			s.finish(j, r, negErr, tier.String(), 0)
 			continue
 		}
 		var simSpan *obs.Span
@@ -655,17 +653,18 @@ func (s *Service) worker() {
 		r, err := s.runCell(j)
 		simDur := time.Since(start)
 		simSpan.EndErr(err)
-		persisted := false
+		// Publish to the tier before finish removes the job, so a
+		// concurrent submit finds the cell in one layer or the other and
+		// never simulates it twice.
 		if err == nil {
 			// tier.Put writes the store first, then the memory tier. A
-			// failed write-through only costs a future re-simulation; the
-			// in-memory result this job now carries stays valid (but the
-			// job is not evictable — disk could not back it up).
+			// failed write-through only costs a future re-simulation once
+			// the memory tier evicts the cell.
 			var putStart time.Time
 			if traced {
 				putStart = time.Now()
 			}
-			persisted = s.tier.Put(j.key, r)
+			s.tier.Put(j.key, r)
 			if traced {
 				s.tr.Observe(j.trace, "store.put", "", putStart, time.Since(putStart), nil)
 			}
@@ -676,7 +675,7 @@ func (s *Service) worker() {
 			// cell replay the failure from the tier without a worker.
 			s.tier.PutNegative(j.key, err.Error())
 		}
-		s.finish(j, r, err, "sim", persisted, simDur)
+		s.finish(j, r, err, "sim", simDur)
 	}
 }
 
@@ -694,11 +693,12 @@ func (s *Service) runCell(j *job) (r platform.Result, err error) {
 	return s.sim(j.req.Kind, j.req.Mix, j.req.Scale, j.req.Cfg)
 }
 
-// finish publishes a job's outcome, wakes its waiters, and evicts
-// past the retention bound. simDur is the wall-clock simulation time
-// (0 when the job was served from a tier) feeding the latency
-// histogram and the Retry-After estimator.
-func (s *Service) finish(j *job, r platform.Result, err error, source string, persisted bool, simDur time.Duration) {
+// finish completes a job whose outcome the worker already published
+// to the tier: it records the outcome, removes the job from the
+// in-flight table and wakes its waiters. simDur is the wall-clock
+// simulation time (0 when the job was served from a tier) feeding the
+// latency histogram and the Retry-After estimator.
+func (s *Service) finish(j *job, r platform.Result, err error, source string, simDur time.Duration) {
 	if simDur > 0 {
 		s.simHist.Observe(simDur)
 	}
@@ -707,14 +707,10 @@ func (s *Service) finish(j *job, r platform.Result, err error, source string, pe
 	s.running--
 	j.res, j.err = r, err
 	j.source = source
-	j.persisted = persisted
 	if err != nil {
 		j.state = StateError
 	} else {
 		j.state = StateDone
-	}
-	if s.jobEvictable(j) {
-		s.evictable++
 	}
 	switch source {
 	case "memory":
@@ -731,55 +727,8 @@ func (s *Service) finish(j *job, r platform.Result, err error, source string, pe
 			}
 		}
 	}
+	delete(s.jobs, j.key)
 	close(j.done)
-	s.evictLocked()
-}
-
-// jobEvictable reports whether a job's in-memory copy is redundant: a
-// done job whose result the store holds (the cell re-serves from
-// disk), or a failed job (the deterministic failure recomputes).
-func (s *Service) jobEvictable(j *job) bool {
-	return (j.state == StateDone && j.persisted) || j.state == StateError
-}
-
-// evictLocked drops the oldest evictable jobs until at most maxJobs
-// remain. Evictable means the job's in-memory copy is redundant: a
-// done job whose result the store holds (the cell re-serves from
-// disk), or a failed job (the deterministic failure recomputes).
-// Queued, running, and done-but-unpersisted jobs always stay.
-func (s *Service) evictLocked() {
-	if s.maxJobs <= 0 || len(s.order) <= s.maxJobs || s.evictable == 0 {
-		return
-	}
-	excess := len(s.order) - s.maxJobs
-	keep := s.order[:0]
-	for _, j := range s.order {
-		if excess > 0 && s.jobEvictable(j) {
-			delete(s.jobs, j.id)
-			if s.cells[j.key] == j {
-				delete(s.cells, j.key)
-			}
-			s.evictable--
-			s.evicted++
-			excess--
-			continue
-		}
-		keep = append(keep, j)
-	}
-	// Zero the freed tail so evicted jobs do not linger reachable
-	// through the backing array.
-	for i := len(keep); i < len(s.order); i++ {
-		s.order[i] = nil
-	}
-	s.order = keep
-}
-
-// EvictedJobs reports how many completed jobs retention has dropped
-// from memory — the jobs_evicted gauge in /metrics.
-func (s *Service) EvictedJobs() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.evicted
 }
 
 // Load reports the service's current backlog — queued plus running
@@ -799,8 +748,8 @@ func (s *Service) Rejected() uint64 {
 	return s.rejected
 }
 
-// TierStats snapshots the memory result tier's counters (zero-valued
-// when the tier is disabled) — the tier_* gauges in /metrics.
+// TierStats snapshots the memory result tier's counters — the tier_*
+// gauges in /metrics.
 func (s *Service) TierStats() restier.CacheStats { return s.tier.CacheStats() }
 
 // SimLatency summarizes recent per-simulation wall-clock latency —

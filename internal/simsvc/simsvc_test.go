@@ -98,9 +98,13 @@ func TestCoalescing(t *testing.T) {
 			}
 		}()
 	}
-	// Release the simulation once every request has attached.
+	// Release the simulation once every request has attached; the
+	// in-flight job counts them as waiters.
 	for svc.Stats().Coalesced != callers-1 {
 		runtime.Gosched()
+	}
+	if job, ok := svc.Job(id0); !ok || job.State != StateRunning || job.Waiters != callers-1 {
+		t.Errorf("in-flight job = %+v, want running with %d waiters", job, callers-1)
 	}
 	close(sim.gate)
 	results[0], errs[0] = svc.Await(id0)
@@ -125,9 +129,8 @@ func TestCoalescing(t *testing.T) {
 	if st.Sims != 1 || st.Coalesced != callers-1 || st.DiskHits != 0 {
 		t.Errorf("stats = %+v, want 1 sim, %d coalesced", st, callers-1)
 	}
-	job, ok := svc.Job(id0)
-	if !ok || job.State != StateDone || job.Waiters != callers-1 || job.Source != "sim" {
-		t.Errorf("job = %+v, want done with %d waiters from sim", job, callers-1)
+	if job, ok := svc.Job(id0); !ok || job.State != StateDone || job.ID != id0 {
+		t.Errorf("completed job = %+v, want done under id %s", job, id0)
 	}
 
 	// A late identical request is a pure memory hit on the completed
@@ -483,106 +486,65 @@ func TestErrorsAreCachedInMemory(t *testing.T) {
 	}
 }
 
-// TestRetentionEvictsPersistedJobs: past MaxJobs, the oldest
-// done-and-persisted jobs leave memory; their cells re-serve from the
-// store as disk hits, not re-simulations.
-func TestRetentionEvictsPersistedJobs(t *testing.T) {
+// TestTierBoundsCompletedCells: completed cells live only in the
+// result tier, so a tier smaller than the working set bounds what the
+// service keeps — no completed jobs linger in the job table — and an
+// evicted cell re-serves from the store as a disk hit, byte-identical
+// to its first serve.
+func TestTierBoundsCompletedCells(t *testing.T) {
 	st, err := store.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim := &stubSim{res: platform.Result{IPC: 2}}
-	svc := New(Config{Store: st, Workers: 1, Simulate: sim.fn, MaxJobs: 2})
+	sim := &stubSim{res: platform.Result{IPC: 2, Extra: map[string]float64{"k": 3}}}
+	svc := New(Config{Store: st, Workers: 1, Simulate: sim.fn, CacheEntries: 2})
 	defer svc.Close()
 
 	cfg := config.Default()
 	mixes := []string{"solo-bfs1", "solo-gaus", "solo-pr", "solo-back"}
+	first := map[string][]byte{}
 	for _, name := range mixes {
-		if _, err := svc.Do(Request{Kind: platform.ZnG, Mix: testMix(t, name), Scale: 0.5, Cfg: cfg}); err != nil {
+		r, err := svc.Do(Request{Kind: platform.ZnG, Mix: testMix(t, name), Scale: 0.5, Cfg: cfg})
+		if err != nil {
 			t.Fatal(err)
 		}
+		first[name] = report.EncodeResult(r)
 	}
-	if got := len(svc.Jobs()); got != 2 {
-		t.Errorf("retained jobs = %d, want the MaxJobs bound of 2", got)
+	if jobs := svc.Jobs(); len(jobs) != 0 {
+		t.Errorf("job table holds %d completed jobs, want none (%+v)", len(jobs), jobs)
 	}
-	if got := svc.EvictedJobs(); got != 2 {
-		t.Errorf("evicted = %d, want 2", got)
-	}
-	// The oldest jobs went first: their ids are gone, the newest stay.
-	if _, ok := svc.Job("job-1"); ok {
-		t.Error("oldest job survived eviction")
-	}
-	if _, ok := svc.Job("job-4"); !ok {
-		t.Error("newest job was evicted")
+	if ts := svc.TierStats(); ts.Entries != 2 || ts.Evictions != 2 {
+		t.Errorf("tier = %+v, want 2 entries at the bound after 2 evictions", ts)
 	}
 
-	// An evicted cell re-serves from disk: no new simulation.
+	// The oldest cell was evicted: it re-serves from disk, not by
+	// simulating, with the same bytes.
 	before := sim.count()
-	r, err := svc.Do(Request{Kind: platform.ZnG, Mix: testMix(t, mixes[0]), Scale: 0.5, Cfg: cfg})
+	r, job, err := svc.DoJob(Request{Kind: platform.ZnG, Mix: testMix(t, mixes[0]), Scale: 0.5, Cfg: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if sim.count() != before {
 		t.Errorf("evicted cell re-simulated (%d -> %d calls), want disk serve", before, sim.count())
 	}
-	if stats := svc.Stats(); stats.DiskHits != 1 {
-		t.Errorf("stats = %+v, want one disk hit for the evicted cell", stats)
+	if stats := svc.Stats(); stats.DiskHits != 1 || job.Source != "disk" {
+		t.Errorf("stats = %+v, source %q; want one disk hit for the evicted cell", stats, job.Source)
 	}
-	if r.IPC != 2 {
-		t.Errorf("disk-served IPC = %v", r.IPC)
-	}
-}
-
-// TestRetentionKeepsUnpersistedJobs: a memory-only service has no
-// disk to fall back on, so done jobs are never evicted regardless of
-// the bound — the memo contract only degrades where the store backs
-// it up. Failed jobs are evictable everywhere (a deterministic
-// failure recomputes identically).
-func TestRetentionKeepsUnpersistedJobs(t *testing.T) {
-	sim := &stubSim{res: platform.Result{IPC: 1}}
-	svc := New(Config{Workers: 1, Simulate: sim.fn, MaxJobs: 1})
-	defer svc.Close()
-	cfg := config.Default()
-	for _, name := range []string{"solo-bfs1", "solo-gaus", "solo-pr"} {
-		if _, err := svc.Do(Request{Kind: platform.ZnG, Mix: testMix(t, name), Scale: 0.5, Cfg: cfg}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := len(svc.Jobs()); got != 3 {
-		t.Errorf("memory-only service retained %d jobs, want all 3 (nothing persisted)", got)
-	}
-	if svc.EvictedJobs() != 0 {
-		t.Errorf("memory-only service evicted %d jobs", svc.EvictedJobs())
-	}
-
-	// Error jobs evict even without a store.
-	failing := &stubSim{err: errors.New("deadlock")}
-	svc2 := New(Config{Workers: 1, Simulate: failing.fn, MaxJobs: 1})
-	defer svc2.Close()
-	for _, name := range []string{"solo-bfs1", "solo-gaus"} {
-		if _, err := svc2.Do(Request{Kind: platform.ZnG, Mix: testMix(t, name), Scale: 0.5, Cfg: cfg}); err == nil {
-			t.Fatal("want simulation error")
-		}
-	}
-	if got := len(svc2.Jobs()); got != 1 {
-		t.Errorf("failing service retained %d jobs, want 1", got)
-	}
-	if svc2.EvictedJobs() != 1 {
-		t.Errorf("failing service evicted %d, want 1", svc2.EvictedJobs())
+	if got := report.EncodeResult(r); !bytes.Equal(got, first[mixes[0]]) {
+		t.Errorf("disk re-serve differs from the first serve:\nfirst: %s\ndisk:  %s", first[mixes[0]], got)
 	}
 }
 
-// TestDoSurvivesEvictionChurn: Do holds the job it submitted, so
-// aggressive retention (MaxJobs=1) can never evict a result out from
-// under a waiting caller — the race a plain Submit+Await(id) pair
-// would have (the id lookup can miss after eviction).
+// TestDoSurvivesEvictionChurn: Do holds the job it waits on, so a
+// 1-entry tier evicting on nearly every completion can never lose a
+// result out from under a waiting caller.
 func TestDoSurvivesEvictionChurn(t *testing.T) {
 	st, err := store.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
 	sim := &stubSim{res: platform.Result{IPC: 1}}
-	svc := New(Config{Store: st, Workers: 2, Simulate: sim.fn, MaxJobs: 1})
+	svc := New(Config{Store: st, Workers: 2, Simulate: sim.fn, CacheEntries: 1})
 	defer svc.Close()
 	cfg := config.Default()
 	mixes := []workload.Mix{testMix(t, "solo-bfs1"), testMix(t, "solo-gaus"), testMix(t, "solo-pr")}
@@ -611,8 +573,78 @@ func TestDoSurvivesEvictionChurn(t *testing.T) {
 	for err := range errs {
 		t.Errorf("Do under eviction churn: %v", err)
 	}
-	if svc.EvictedJobs() == 0 {
-		t.Error("churn produced no evictions; the test exercised nothing")
+	if svc.TierStats().Evictions == 0 {
+		t.Error("churn produced no tier evictions; the test exercised nothing")
+	}
+	if n := sim.count(); n != len(mixes) {
+		t.Errorf("churn simulated %d times, want %d (evicted cells re-serve from disk)", n, len(mixes))
+	}
+}
+
+// TestResubmitSameID: a job id is its cell's content address, so an
+// async submit while the cell is in flight and another after it
+// completed — answered by the memory tier — return the same id.
+func TestResubmitSameID(t *testing.T) {
+	sim := &stubSim{gate: make(chan struct{}), started: make(chan struct{}, 1), res: platform.Result{IPC: 4}}
+	svc := New(Config{Workers: 1, Simulate: sim.fn})
+	defer svc.Close()
+	req := Request{Kind: platform.ZnG, Mix: testMix(t, "betw-back"), Scale: 0.5, Cfg: config.Default()}
+
+	inflight, err := svc.SubmitJob(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-sim.started
+	if want := store.CellKey(req.Kind, req.Mix.ID(), req.Scale, req.Cfg); inflight.ID != want {
+		t.Errorf("job id = %q, want the cell key %q", inflight.ID, want)
+	}
+	close(sim.gate)
+	if _, err := svc.Await(inflight.ID); err != nil {
+		t.Fatal(err)
+	}
+	after, err := svc.SubmitJob(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after.ID != inflight.ID || after.State != StateDone || after.Source != "memory" {
+		t.Errorf("post-completion submit = %+v, want done from memory under id %s", after, inflight.ID)
+	}
+	if sim.count() != 1 {
+		t.Errorf("simulated %d times, want 1", sim.count())
+	}
+}
+
+// TestCloseNeverCachesErrClosed: the ErrClosed a queued job fails
+// with on shutdown is the service's, not the cell's, so it must never
+// land in the tier as a deterministic failure.
+func TestCloseNeverCachesErrClosed(t *testing.T) {
+	gate := make(chan struct{})
+	sim := &stubSim{gate: gate, started: make(chan struct{}, 1), res: platform.Result{IPC: 1}}
+	svc := New(Config{Workers: 1, Simulate: sim.fn})
+	cfg := config.Default()
+	if _, err := svc.Submit(Request{Kind: platform.ZnG, Mix: testMix(t, "solo-bfs1"), Scale: 1, Cfg: cfg}); err != nil {
+		t.Fatal(err)
+	}
+	<-sim.started
+	queued, err := svc.Submit(Request{Kind: platform.ZnG, Mix: testMix(t, "solo-gaus"), Scale: 1, Cfg: cfg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	closed := make(chan struct{})
+	go func() {
+		svc.Close()
+		close(closed)
+	}()
+	if _, err := svc.Await(queued); !errors.Is(err, ErrClosed) {
+		t.Fatalf("queued job error = %v, want ErrClosed", err)
+	}
+	close(gate)
+	<-closed
+	if ts := svc.TierStats(); ts.Negatives != 0 || ts.Entries != 1 {
+		t.Errorf("tier = %+v, want only the drained result and no negatives", ts)
+	}
+	if job, ok := svc.Job(queued); ok {
+		t.Errorf("closed job still resolves: %+v", job)
 	}
 }
 
@@ -641,8 +673,10 @@ func TestJobResultSingleLookup(t *testing.T) {
 	if !ok || info.State != StateDone || res.IPC != 6 {
 		t.Errorf("done JobResult = %+v, %+v, %v; want done with IPC 6", info, res, ok)
 	}
-	if _, _, ok := svc.JobResult("job-999"); ok {
-		t.Error("unknown id resolved")
+	for _, unknown := range []string{"job-999", strings.Repeat("0", 64)} {
+		if _, _, ok := svc.JobResult(unknown); ok {
+			t.Errorf("unknown id %q resolved", unknown)
+		}
 	}
 }
 

@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -36,15 +38,15 @@ func TestTierServedEqualsFreshSimulation(t *testing.T) {
 	}
 	want := report.EncodeResult(fresh)
 
-	// Service 1: real simulator, tier on, retention of one job. Cell A
-	// simulates and writes through; cell B evicts A's job memo; the
-	// re-request for A must then come from the memory tier.
+	// Service 1: real simulator. Cell A simulates and writes through;
+	// once it completes, the re-request for A must come from the memory
+	// tier.
 	dir := t.TempDir()
 	st1, err := store.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc1 := New(Config{Store: st1, Workers: 1, MaxJobs: 1, CacheEntries: 4})
+	svc1 := New(Config{Store: st1, Workers: 1, CacheEntries: 4})
 	if _, err := svc1.Run(kind, mixA, o.Scale, o.Cfg); err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +58,7 @@ func TestTierServedEqualsFreshSimulation(t *testing.T) {
 		t.Fatal(err)
 	}
 	if job.Source != "memory" {
-		t.Fatalf("re-request after job eviction served from %q, want the memory tier (stats %+v, tier %+v)",
+		t.Fatalf("re-request of a completed cell served from %q, want the memory tier (stats %+v, tier %+v)",
 			job.Source, svc1.Stats(), svc1.TierStats())
 	}
 	if got := report.EncodeResult(memServed); !bytes.Equal(got, want) {
@@ -68,13 +70,13 @@ func TestTierServedEqualsFreshSimulation(t *testing.T) {
 	svc1.Close()
 
 	// Service 2: fresh process over the same store, simulator rigged to
-	// fail — cell A must disk-serve (promoting into the tier), and once
-	// its job memo is evicted, memory-serve, both byte-identical.
+	// fail — cell A must disk-serve (promoting into the tier), then
+	// memory-serve, both byte-identical.
 	st2, err := store.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc2 := New(Config{Store: st2, Workers: 1, MaxJobs: 1, CacheEntries: 4,
+	svc2 := New(Config{Store: st2, Workers: 1, CacheEntries: 4,
 		Simulate: func(platform.Kind, workload.Mix, float64, config.Config) (platform.Result, error) {
 			return platform.Result{}, errors.New("must serve from a tier")
 		}})
@@ -89,50 +91,17 @@ func TestTierServedEqualsFreshSimulation(t *testing.T) {
 	if got := report.EncodeResult(diskServed); !bytes.Equal(got, want) {
 		t.Errorf("disk-tier result differs from fresh simulation:\nfresh: %s\ndisk:  %s", want, got)
 	}
-	// An unrelated failed job evicts A's memo (error jobs are
-	// evictable); A then re-serves from the memory tier it was promoted
-	// into by the disk read. The cell must be one no service has
-	// simulated, so the rigged simulator actually runs and fails.
-	if _, err := svc2.Run(kind, mixB, o.Scale/2, o.Cfg); err == nil {
-		t.Fatal("rigged simulator did not fail")
-	}
+	// A then re-serves from the memory tier the disk read promoted it
+	// into.
 	memServed2, job, err := svc2.DoJob(Request{Kind: kind, Mix: mixA, Scale: o.Scale, Cfg: o.Cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if job.Source != "memory" {
-		t.Fatalf("post-eviction re-request served from %q, want memory (tier %+v)", job.Source, svc2.TierStats())
+		t.Fatalf("post-disk re-request served from %q, want memory (tier %+v)", job.Source, svc2.TierStats())
 	}
 	if got := report.EncodeResult(memServed2); !bytes.Equal(got, want) {
 		t.Errorf("memory-tier result (promoted from disk) differs from fresh simulation:\nfresh:  %s\nmemory: %s", want, got)
-	}
-}
-
-// TestTierDisabledByDefault pins the opt-in: a zero CacheEntries
-// config has no memory tier, so an evicted cell re-serves from disk
-// exactly as before the tier existed.
-func TestTierDisabledByDefault(t *testing.T) {
-	st, err := store.Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	sim := &stubSim{res: platform.Result{IPC: 1}}
-	svc := New(Config{Store: st, Workers: 1, MaxJobs: 1, Simulate: sim.fn})
-	defer svc.Close()
-	req := Request{Kind: platform.ZnG, Mix: testMix(t, "betw-back"), Scale: 0.5, Cfg: config.Default()}
-	if _, err := svc.Do(req); err != nil {
-		t.Fatal(err)
-	}
-	other := req
-	other.Scale = 0.25
-	if _, err := svc.Do(other); err != nil {
-		t.Fatal(err)
-	}
-	if _, job, err := svc.DoJob(req); err != nil || job.Source != "disk" {
-		t.Fatalf("tier-less re-request: source %q err %v, want disk", job.Source, err)
-	}
-	if ts := svc.TierStats(); ts.Capacity != 0 || ts.Hits != 0 {
-		t.Errorf("disabled tier reports %+v", ts)
 	}
 }
 
@@ -299,13 +268,12 @@ func TestAPIMetricsTierGauges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc := New(Config{Store: st, Workers: 1, MaxJobs: 1, CacheEntries: 8, Simulate: fixedSim(1.5)})
+	svc := New(Config{Store: st, Workers: 1, CacheEntries: 8, Simulate: fixedSim(1.5)})
 	t.Cleanup(svc.Close)
 	srv := httptest.NewServer(NewHandler(svc, config.Default()))
 	t.Cleanup(srv.Close)
 
-	// Two cells evict each other's job memos (MaxJobs 1), so the third
-	// request is a memory-tier hit.
+	// Two cells simulate; the repeat of the first is a memory-tier hit.
 	for _, body := range []string{
 		`{"platform":"ZnG","mix":"betw-back","scale":0.5}`,
 		`{"platform":"ZnG","mix":"betw-back","scale":0.25}`,
@@ -339,15 +307,14 @@ func TestAPIMetricsTierGauges(t *testing.T) {
 	}
 }
 
-// TestNegativeCacheServesRepeatFailures: a deterministic simulation
-// failure whose job retention evicted is re-served from the tier's
-// negative entry — same error text, zero re-simulation.
+// TestNegativeCacheServesRepeatFailures: a completed deterministic
+// simulation failure is re-served from the tier's negative entry —
+// same error text, zero re-simulation.
 func TestNegativeCacheServesRepeatFailures(t *testing.T) {
 	mixA := testMix(t, "solo-bfs1")
-	mixB := testMix(t, "solo-gaus")
 	cfg := config.Default()
 	sims := 0
-	svc := New(Config{Workers: 1, MaxJobs: 1, CacheEntries: 4,
+	svc := New(Config{Workers: 1, CacheEntries: 4,
 		Simulate: func(kind platform.Kind, mix workload.Mix, scale float64, c config.Config) (platform.Result, error) {
 			sims++
 			if mix.ID() == mixA.ID() {
@@ -359,11 +326,6 @@ func TestNegativeCacheServesRepeatFailures(t *testing.T) {
 
 	if _, err := svc.Run(platform.ZnG, mixA, 0.5, cfg); err == nil || err.Error() != "zng: apps exceed SMs" {
 		t.Fatalf("first run err = %v, want the simulation failure", err)
-	}
-	// Cell B pushes retention past the bound: A's failed job (evictable
-	// unconditionally) is dropped, leaving only the tier's negative entry.
-	if _, err := svc.Run(platform.ZnG, mixB, 0.5, cfg); err != nil {
-		t.Fatal(err)
 	}
 	if ts := svc.TierStats(); ts.Negatives != 1 {
 		t.Fatalf("tier negatives = %d, want 1 (stats %+v)", ts.Negatives, ts)
@@ -380,10 +342,127 @@ func TestNegativeCacheServesRepeatFailures(t *testing.T) {
 	if job.State != StateError || job.Source != "memory" {
 		t.Errorf("replayed job = %+v, want an error job served from memory", job)
 	}
-	if sims != 2 {
-		t.Errorf("simulator ran %d times, want 2 (the repeat failure must not re-simulate)", sims)
+	if sims != 1 {
+		t.Errorf("simulator ran %d times, want 1 (the repeat failure must not re-simulate)", sims)
 	}
 	if st := svc.Stats(); st.MemoryHits != 1 {
 		t.Errorf("stats = %+v, want 1 memory hit for the negative serve", st)
+	}
+}
+
+// pollJob issues one GET /v1/jobs/{id} (id already path-escaped as
+// the caller wants it on the wire) without following redirects, and
+// decodes the reply envelope.
+func pollJob(t *testing.T, base, id string) (int, JobInfo, json.RawMessage) {
+	t.Helper()
+	client := &http.Client{CheckRedirect: func(*http.Request, []*http.Request) error { return http.ErrUseLastResponse }}
+	resp, err := client.Get(base + "/v1/jobs/" + id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var env struct {
+		Job    JobInfo         `json:"job"`
+		Result json.RawMessage `json:"result"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
+		t.Fatalf("undecodable poll reply: %v", err)
+	}
+	return resp.StatusCode, env.Job, env.Result
+}
+
+// TestPollAfterTierEviction: polling does not depend on retention. A
+// completed cell's id polls as done from the memory tier, and after
+// the tier evicts it, as done from disk with the same document bytes.
+func TestPollAfterTierEviction(t *testing.T) {
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc := New(Config{Store: st, Workers: 1, CacheEntries: 1, Simulate: fixedSim(2.75)})
+	t.Cleanup(svc.Close)
+	srv := httptest.NewServer(NewHandler(svc, config.Default()))
+	t.Cleanup(srv.Close)
+
+	resp, doc := postRun(t, srv.URL, `{"platform":"ZnG","mix":"betw-back","scale":0.5,"async":true}`)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("async run: %d (%s)", resp.StatusCode, doc["error"])
+	}
+	var job JobInfo
+	if err := json.Unmarshal(doc["job"], &job); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := svc.Await(job.ID); err != nil {
+		t.Fatal(err)
+	}
+	code, mem, memDoc := pollJob(t, srv.URL, job.ID)
+	if code != http.StatusOK || mem.State != StateDone || mem.Source != "memory" || len(memDoc) == 0 {
+		t.Fatalf("poll of a resident cell = %d %+v, want done from memory with a result", code, mem)
+	}
+
+	// Another cell takes the tier's only entry.
+	if resp, doc := postRun(t, srv.URL, `{"platform":"ZnG","mix":"betw-back","scale":0.25}`); resp.StatusCode != http.StatusOK {
+		t.Fatalf("evicting run: %d (%s)", resp.StatusCode, doc["error"])
+	}
+	if _, _, ok := svc.tier.GetMem(job.ID); ok {
+		t.Fatal("cell still resident after the 1-entry tier took another")
+	}
+	code, disk, diskDoc := pollJob(t, srv.URL, job.ID)
+	if code != http.StatusOK || disk.State != StateDone || disk.Source != "disk" || disk.ID != job.ID {
+		t.Fatalf("poll after eviction = %d %+v, want done from disk under id %s", code, disk, job.ID)
+	}
+	if !bytes.Equal(diskDoc, memDoc) {
+		t.Errorf("disk poll differs from memory poll:\nmemory: %s\ndisk:   %s", memDoc, diskDoc)
+	}
+}
+
+// TestPollCachedFailure: a completed deterministic failure polls as
+// error with its original message.
+func TestPollCachedFailure(t *testing.T) {
+	svc := New(Config{Workers: 1, Simulate: func(platform.Kind, workload.Mix, float64, config.Config) (platform.Result, error) {
+		return platform.Result{}, errors.New("zng: apps exceed SMs")
+	}})
+	t.Cleanup(svc.Close)
+	srv := httptest.NewServer(NewHandler(svc, config.Default()))
+	t.Cleanup(srv.Close)
+
+	resp, doc := postRun(t, srv.URL, `{"platform":"ZnG","mix":"betw-back","scale":0.5}`)
+	if resp.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("failing run: status %d, want 500", resp.StatusCode)
+	}
+	var job JobInfo
+	if err := json.Unmarshal(doc["job"], &job); err != nil {
+		t.Fatal(err)
+	}
+	code, polled, result := pollJob(t, srv.URL, job.ID)
+	if code != http.StatusOK || polled.State != StateError || polled.Error != "zng: apps exceed SMs" || len(result) != 0 {
+		t.Errorf("poll of a cached failure = %d %+v (result %s), want error with the original message", code, polled, result)
+	}
+}
+
+// TestPollRejectsPathTraversal: the router unescapes %2F, so a job id
+// can arrive as "../../x". It must read as unknown before any disk
+// access, even with a valid result document planted at the traversal
+// target.
+func TestPollRejectsPathTraversal(t *testing.T) {
+	root := t.TempDir()
+	st, err := store.Open(filepath.Join(root, "a", "b"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	planted := report.EncodeResult(platform.Result{Kind: platform.ZnG, Workload: "planted", IPC: 1})
+	if err := os.WriteFile(filepath.Join(root, "x.json"), planted, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := st.Get("../../x"); !ok {
+		t.Fatal("planted document is not at the traversal target")
+	}
+	svc := New(Config{Store: st, Workers: 1, Simulate: fixedSim(1)})
+	t.Cleanup(svc.Close)
+	srv := httptest.NewServer(NewHandler(svc, config.Default()))
+	t.Cleanup(srv.Close)
+
+	if code, job, _ := pollJob(t, srv.URL, "..%2F..%2Fx"); code != http.StatusNotFound {
+		t.Errorf("traversal poll = %d %+v, want 404", code, job)
 	}
 }

@@ -17,7 +17,6 @@ import (
 // served it.
 func TestTierOutcomeSpans(t *testing.T) {
 	mixA := testMix(t, "solo-bfs1")
-	mixB := testMix(t, "solo-gaus")
 	mixF := testMix(t, "solo-pr")
 	cfg := config.Default()
 
@@ -41,7 +40,7 @@ func TestTierOutcomeSpans(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := obs.New("svc-1", 256, 1)
-	svc := New(Config{Store: st, Workers: 1, MaxJobs: 1, CacheEntries: 8, Tracer: tr,
+	svc := New(Config{Store: st, Workers: 1, CacheEntries: 8, Tracer: tr,
 		Simulate: func(kind platform.Kind, mix workload.Mix, scale float64, c config.Config) (platform.Result, error) {
 			if mix.ID() == mixF.ID() {
 				return platform.Result{}, errors.New("rigged failure")
@@ -65,11 +64,8 @@ func TestTierOutcomeSpans(t *testing.T) {
 		}
 	}
 
-	// Cell B evicts A's job memo (MaxJobs: 1); the re-request for A
-	// must serve from the memory tier and say so in its span.
-	if _, err := svc.Run(platform.ZnG, mixB, 0.5, cfg); err != nil {
-		t.Fatal(err)
-	}
+	// The re-request for the completed cell A must serve from the
+	// memory tier and say so in its span.
 	memTrace, job, err := do(svc, tr, mixA, 0.5)
 	if err != nil {
 		t.Fatal(err)
@@ -95,11 +91,7 @@ func TestTierOutcomeSpans(t *testing.T) {
 	if simErr != "rigged failure" {
 		t.Errorf("failed sim span err = %q, want the rigged failure", simErr)
 	}
-	// ...and once retention drops the failed job (a fresh cell pushes
-	// it out), the repeat serves from the negative cache.
-	if _, err := svc.Run(platform.ZnG, mixB, 0.25, cfg); err != nil {
-		t.Fatal(err)
-	}
+	// ...and the repeat serves from the negative cache.
 	negTrace, job, err := do(svc, tr, mixF, 0.5)
 	if err == nil || err.Error() != "rigged failure" {
 		t.Fatalf("negative replay err = %v", err)

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"zng/internal/config"
 	"zng/internal/experiments"
@@ -486,12 +487,12 @@ func TestErrorsAreCachedInMemory(t *testing.T) {
 	}
 }
 
-// TestTierBoundsCompletedCells: completed cells live only in the
+// TestRetentionEvictsPersistedJobs: completed cells live only in the
 // result tier, so a tier smaller than the working set bounds what the
 // service keeps — no completed jobs linger in the job table — and an
 // evicted cell re-serves from the store as a disk hit, byte-identical
 // to its first serve.
-func TestTierBoundsCompletedCells(t *testing.T) {
+func TestRetentionEvictsPersistedJobs(t *testing.T) {
 	st, err := store.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
@@ -532,6 +533,99 @@ func TestTierBoundsCompletedCells(t *testing.T) {
 	}
 	if got := report.EncodeResult(r); !bytes.Equal(got, first[mixes[0]]) {
 		t.Errorf("disk re-serve differs from the first serve:\nfirst: %s\ndisk:  %s", first[mixes[0]], got)
+	}
+}
+
+// TestRetentionKeepsUnpersistedJobs: the tier bound applies to
+// completed cells only. A job not yet finished has no copy anywhere
+// else, so it stays in the job table however small the tier is. A
+// memory-only service has no disk to fall back on: a cell evicted
+// from its tier simulates again, to the same bytes. Failed cells are
+// bounded by the same tier.
+func TestRetentionKeepsUnpersistedJobs(t *testing.T) {
+	sim := &stubSim{gate: make(chan struct{}), started: make(chan struct{}, 8), res: platform.Result{IPC: 1}}
+	svc := New(Config{Workers: 1, Simulate: sim.fn, CacheEntries: 1})
+	defer svc.Close()
+	cfg := config.Default()
+	mixes := []string{"solo-bfs1", "solo-gaus", "solo-pr"}
+	type served struct {
+		name string
+		enc  []byte
+		err  error
+	}
+	done := make(chan served, len(mixes))
+	for _, name := range mixes {
+		name := name
+		go func() {
+			r, err := svc.Do(Request{Kind: platform.ZnG, Mix: testMix(t, name), Scale: 0.5, Cfg: cfg})
+			done <- served{name, report.EncodeResult(r), err}
+		}()
+	}
+	<-sim.started
+	deadline := time.Now().Add(5 * time.Second)
+	for len(svc.Jobs()) < len(mixes) {
+		if time.Now().After(deadline) {
+			t.Fatalf("job table holds %d unfinished jobs, want all %d despite the 1-entry tier", len(svc.Jobs()), len(mixes))
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(sim.gate)
+	first := map[string][]byte{}
+	for range mixes {
+		s := <-done
+		if s.err != nil {
+			t.Fatal(s.err)
+		}
+		first[s.name] = s.enc
+	}
+	if got := len(svc.Jobs()); got != 0 {
+		t.Errorf("job table holds %d jobs after completion, want none", got)
+	}
+	if ts := svc.TierStats(); ts.Entries != 1 || ts.Evictions != 2 {
+		t.Errorf("tier = %+v, want 1 entry at the bound after 2 evictions", ts)
+	}
+
+	// No store: the resident cell is a memory hit; the two evicted
+	// ones are unknown ids and simulate again, identically.
+	var order []string
+	for _, name := range mixes {
+		m := testMix(t, name)
+		if _, ok := svc.Job(store.CellKey(platform.ZnG, m.ID(), 0.5, cfg)); ok {
+			order = append([]string{name}, order...)
+		} else {
+			order = append(order, name)
+		}
+	}
+	before := sim.count()
+	sources := map[string]int{}
+	for _, name := range order {
+		r, job, err := svc.DoJob(Request{Kind: platform.ZnG, Mix: testMix(t, name), Scale: 0.5, Cfg: cfg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sources[job.Source]++
+		if got := report.EncodeResult(r); !bytes.Equal(got, first[name]) {
+			t.Errorf("%s re-serve (%s) differs from the first serve:\nfirst: %s\nagain: %s", name, job.Source, first[name], got)
+		}
+	}
+	if sim.count() != before+2 || sources["sim"] != 2 || sources["memory"] != 1 {
+		t.Errorf("re-requests without a store: %d -> %d calls, sources %v; want 2 re-simulations and 1 memory hit", before, sim.count(), sources)
+	}
+
+	// Failed cells share the bound.
+	failing := &stubSim{err: errors.New("deadlock")}
+	svc2 := New(Config{Workers: 1, Simulate: failing.fn, CacheEntries: 1})
+	defer svc2.Close()
+	for _, name := range []string{"solo-bfs1", "solo-gaus"} {
+		if _, err := svc2.Do(Request{Kind: platform.ZnG, Mix: testMix(t, name), Scale: 0.5, Cfg: cfg}); err == nil {
+			t.Fatal("want simulation error")
+		}
+	}
+	if got := len(svc2.Jobs()); got != 0 {
+		t.Errorf("failing service holds %d jobs, want none", got)
+	}
+	if ts := svc2.TierStats(); ts.Entries != 1 || ts.Negatives != 1 || ts.Evictions != 1 {
+		t.Errorf("failing tier = %+v, want 1 negative entry after 1 eviction", ts)
 	}
 }
 

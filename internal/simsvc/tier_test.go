@@ -105,6 +105,40 @@ func TestTierServedEqualsFreshSimulation(t *testing.T) {
 	}
 }
 
+// TestTierDisabledByDefault pins what a zero CacheEntries config
+// means now that the tier cannot be disabled: it selects
+// DefaultCacheEntries, a repeat is served from memory, and a cell with
+// no memory copy (a restart on the same store) re-serves from disk
+// exactly as before the tier existed.
+func TestTierDisabledByDefault(t *testing.T) {
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim := &stubSim{res: platform.Result{IPC: 1}}
+	svc := New(Config{Store: st, Workers: 1, Simulate: sim.fn})
+	req := Request{Kind: platform.ZnG, Mix: testMix(t, "betw-back"), Scale: 0.5, Cfg: config.Default()}
+	if _, err := svc.Do(req); err != nil {
+		t.Fatal(err)
+	}
+	if _, job, err := svc.DoJob(req); err != nil || job.Source != "memory" {
+		t.Fatalf("default-tier re-request: source %q err %v, want memory", job.Source, err)
+	}
+	if ts := svc.TierStats(); ts.Capacity != DefaultCacheEntries || ts.Hits != 1 {
+		t.Errorf("zero-config tier reports %+v, want capacity %d and one hit", ts, DefaultCacheEntries)
+	}
+	svc.Close()
+
+	restarted := New(Config{Store: st, Workers: 1, Simulate: sim.fn})
+	defer restarted.Close()
+	if _, job, err := restarted.DoJob(req); err != nil || job.Source != "disk" {
+		t.Fatalf("post-restart re-request: source %q err %v, want disk", job.Source, err)
+	}
+	if sim.count() != 1 {
+		t.Errorf("simulated %d times, want 1", sim.count())
+	}
+}
+
 // TestAdmissionBound: past MaxQueue pending simulations, new cells
 // are refused with ErrOverloaded — but coalesced attaches and
 // completed-cell hits are always admitted, and draining the queue
